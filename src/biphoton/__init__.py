@@ -25,7 +25,6 @@ from .spectral import (
     omega_to_wavelength,
     pump_amplitude,
     sample_filter,
-    sample_pump,
     wavelength_to_omega,
 )
 from .dispersion import DispersionModel, delta_k, k_of_omega, phase_matching, sinc
@@ -54,7 +53,6 @@ from .squeezing import (
     trigger_probability,
 )
 from .fringes import (
-    CarRecord,
     FringeScan,
     accidental_fraction,
     classical_transmission,

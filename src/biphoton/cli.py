@@ -21,6 +21,7 @@ from .fringes import corrected_visibility, extract_visibility, fringe_scan
 from .scenario import (
     BUNDLED_SCENARIOS,
     Scenario,
+    SqueezingSettings,
     load_bundled,
     load_scenario,
 )
@@ -41,8 +42,6 @@ from .sources import (
 )
 from .spectral import omega_to_wavelength
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
-
-SCHMIDT_REPORT_CUTOFF = 1e-12
 
 # Table rows: (label, bundled scenario, observed fringe visibility)
 TABLE1_ROWS = (
@@ -84,13 +83,15 @@ def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: b
 def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
     """Overlap (N, delta) between the scenario's source pair.
 
-    With a single source the pair is two nominally identical devices, so
-    the overlap is computed between two independent builds of the same
-    JSA (magnitude 1 by construction).
+    With a single source the pair is two nominally identical devices; the
+    builders are deterministic, so the one JSA is overlapped with itself
+    (magnitude 1 by construction). A second JSA is built only for a
+    distinct ``source2``.
     """
     jsa1 = build_jsa(scenario, scenario.source, n_points, filtered)
-    jsa2 = build_jsa(scenario, scenario.source2 or scenario.source, n_points, filtered)
-    return jsa_overlap(jsa1, jsa2)
+    if scenario.source2 is None:
+        return jsa_overlap(jsa1, jsa1)
+    return jsa_overlap(jsa1, build_jsa(scenario, scenario.source2, n_points, filtered))
 
 
 def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None, filtered: bool = True) -> str:
@@ -133,7 +134,7 @@ def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) 
     out = build_jsa(scenario, n_points=n_points, filtered=filtered)
     spectrum = schmidt_decompose(out)
     r = spectrum.coefficients
-    reported = spectrum.significant(SCHMIDT_REPORT_CUTOFF)
+    reported = spectrum.significant()
     return {
         "purity": float(np.sum(r**2)),
         "schmidt_tail": float(np.sum(r) - np.sum(reported)),
@@ -146,7 +147,7 @@ def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None, filtere
     out = build_jsa(scenario, n_points=n_points, filtered=filtered)
     spectrum = schmidt_decompose(out)
     lines = [header_line("schmidt", scenario), "mode_index,coefficient"]
-    for idx, r in enumerate(spectrum.significant(SCHMIDT_REPORT_CUTOFF)):
+    for idx, r in enumerate(spectrum.significant()):
         lines.append(f"{idx},{fmt(r)}")
     _write(out_path, lines)
     return out_path
@@ -194,20 +195,18 @@ def cmd_stats(scenario: Scenario, n_points: int = None, filtered: bool = True) -
     """Squeezed-state statistics from the scenario's Schmidt spectrum."""
     out = build_jsa(scenario, n_points=n_points, filtered=filtered)
     spectrum = schmidt_decompose(out)
-    settings = scenario.squeezing
-    xi = settings.xi if settings is not None else 0.1
-    eta = settings.eta if settings is not None else 1.0
+    settings = scenario.squeezing or SqueezingSettings()
     spec = SqueezingSpec(
-        global_xi=xi,
+        global_xi=settings.xi,
         schmidt_coefficients=spectrum.coefficients,
-        transmissions=np.full(spectrum.coefficients.shape, eta),
+        transmissions=np.full(spectrum.coefficients.shape, settings.eta),
     )
     return {
-        "xi": xi,
-        "eta": eta,
+        "xi": settings.xi,
+        "eta": settings.eta,
         "mean_photon_number": mean_photon_number(spec),
         "trigger_probability": trigger_probability(spec),
-        "n_modes": int(spectrum.significant(SCHMIDT_REPORT_CUTOFF).size),
+        "n_modes": int(spectrum.significant().size),
     }
 
 

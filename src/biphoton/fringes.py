@@ -32,21 +32,6 @@ class FringeScan:
             raise InvalidArgumentError("phase and probability arrays must match in shape")
 
 
-@dataclass(frozen=True)
-class CarRecord:
-    """A coincidence-to-accidental ratio and its implied accidental fraction."""
-
-    car: float
-
-    def __post_init__(self):
-        if self.car <= 0:
-            raise InvalidArgumentError(f"CAR must be positive, got {self.car}")
-
-    @property
-    def accidental_fraction(self) -> float:
-        return 1.0 / (self.car + 1.0)
-
-
 def _check_overlap(n_overlap: float):
     if not 0.0 <= n_overlap <= 1.0:
         raise InvalidArgumentError(f"overlap must be in [0, 1], got {n_overlap}")
@@ -144,7 +129,9 @@ def extract_visibility(scan: FringeScan) -> float:
 
 def accidental_fraction(car: float) -> float:
     """Accidental-coincidence fraction 1/(CAR + 1)."""
-    return CarRecord(car).accidental_fraction
+    if car <= 0:
+        raise InvalidArgumentError(f"CAR must be positive, got {car}")
+    return 1.0 / (car + 1.0)
 
 
 def corrected_visibility(visibility: float, car: float) -> float:

@@ -7,7 +7,6 @@ import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
 from .sources import JointSpectralAmplitude
-from .spectral import FilterSpec, sample_filter
 
 NORM_TOL = 1e-6
 TAIL_REL_TOL = 1e-12
@@ -65,36 +64,17 @@ def purity(jsa: JointSpectralAmplitude) -> float:
     return float(np.sum(s**4))
 
 
-def jsa_overlap(
-    jsa1: JointSpectralAmplitude,
-    jsa2: JointSpectralAmplitude,
-    filter_s: FilterSpec | None = None,
-    filter_i: FilterSpec | None = None,
-) -> OverlapResult:
+def jsa_overlap(jsa1: JointSpectralAmplitude, jsa2: JointSpectralAmplitude) -> OverlapResult:
     """Overlap N*exp(i*delta) between two sources' joint spectra.
 
-    Both JSAs must live on identical grids. When filters are given, each
-    JSA is filtered and re-normalized before the inner product, so that
-    identical sources always give magnitude 1.
+    Both JSAs must live on identical grids and be normalized; to compare
+    filtered sources, pass each through ``apply_filter`` first.
     """
     if not (jsa1.grid_s.same_axis(jsa2.grid_s) and jsa1.grid_i.same_axis(jsa2.grid_i)):
         raise GridMismatchError("jsa_overlap requires both JSAs on identical grids")
     _require_normalized(jsa1)
     _require_normalized(jsa2)
-    v1, v2 = jsa1.values, jsa2.values
-    if filter_s is not None or filter_i is not None:
-        f_s = sample_filter(filter_s, jsa1.grid_s) if filter_s is not None else 1.0
-        f_i = sample_filter(filter_i, jsa1.grid_i) if filter_i is not None else 1.0
-        weight = np.asarray(f_s)[..., None] * np.asarray(f_i)
-        v1 = v1 * weight
-        v2 = v2 * weight
-        meas = jsa1.measure
-        n1 = np.sqrt(np.sum(np.abs(v1) ** 2) * meas)
-        n2 = np.sqrt(np.sum(np.abs(v2) ** 2) * meas)
-        if n1 == 0.0 or n2 == 0.0:
-            return OverlapResult(magnitude=0.0, phase=0.0)
-        v1, v2 = v1 / n1, v2 / n2
-    inner = complex(np.sum(v1 * np.conj(v2)) * jsa1.measure)
+    inner = complex(np.sum(jsa1.values * np.conj(jsa2.values)) * jsa1.measure)
     magnitude = min(abs(inner), 1.0)
     phase = float(np.angle(inner)) if magnitude > 0.0 else 0.0
     return OverlapResult(magnitude=magnitude, phase=phase)

@@ -6,11 +6,11 @@ boundaries of this module, via ``omega = 2*pi*c / wavelength``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, OutOfBandError, UnderResolvedError
+from .errors import InvalidArgumentError
 
 C_VACUUM = 299792458.0  # m/s
 
@@ -137,42 +137,6 @@ def pump_amplitude(line: PumpLine, omega) -> np.ndarray:
     return line.relative_amplitude * prof
 
 
-def sample_pump(line: PumpLine, grid: FrequencyGrid, on_under_resolved: str = "error") -> np.ndarray:
-    """Sample a pump line on a grid, L2-normalized discretely.
-
-    The returned spectrum satisfies ``sum(|a|^2) * grid.step == |relative_amplitude|^2``.
-
-    Raises OutOfBandError if the line center lies outside the grid, and
-    UnderResolvedError (or warns, per ``on_under_resolved``) when the FWHM
-    spans fewer than two grid steps.
-    """
-    if not grid.contains(line.center_omega):
-        raise OutOfBandError(
-            f"pump center {line.center_wavelength * 1e9:.4f} nm is outside the grid "
-            f"[{omega_to_wavelength(grid.omega_max) * 1e9:.4f}, "
-            f"{omega_to_wavelength(grid.omega_min) * 1e9:.4f}] nm"
-        )
-    if line.linewidth_fwhm < 2.0 * grid.step:
-        msg = (
-            f"pump FWHM {line.linewidth_fwhm:.3e} rad/s is under-resolved on a grid "
-            f"with step {grid.step:.3e} rad/s"
-        )
-        if on_under_resolved == "error":
-            raise UnderResolvedError(msg)
-        elif on_under_resolved == "warn":
-            import warnings
-
-            warnings.warn(msg, UserWarning)
-        elif on_under_resolved != "ignore":
-            raise InvalidArgumentError(f"unknown on_under_resolved mode {on_under_resolved!r}")
-    values = pump_amplitude(line, grid.points())
-    norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.step)
-    if norm == 0.0:
-        raise OutOfBandError("pump line samples to zero on this grid")
-    # unit-L2 shape; the complex relative amplitude survives as overall scale
-    return values * (abs(line.relative_amplitude) / norm)
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """A band-pass filter: amplitude transmission in [0, 1].
@@ -206,7 +170,6 @@ def _rect_mask(grid: FrequencyGrid, omega_lo: float, omega_hi: float) -> np.ndar
     # Edges snap to the nearest grid point; an edge exactly midway between
     # two points is assigned to the lower-frequency point (low edge
     # inclusive) for bit-exact reproducibility.
-    pts = grid.points()
     k_lo = int(np.floor((omega_lo - grid.omega_min) / grid.step + 0.5))
     k_hi = int(np.ceil((omega_hi - grid.omega_min) / grid.step - 0.5))
     mask = np.zeros(grid.n_points)

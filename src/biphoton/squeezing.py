@@ -6,7 +6,7 @@ beamsplitter before an ideal detector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lgamma, log, tanh
 
 import numpy as np
@@ -15,6 +15,7 @@ from .errors import InvalidArgumentError, TruncationError
 
 DEFAULT_MAX_N = 20
 TAIL_TOL = 1e-10
+_BLOCK_ENTRIES = 1 << 16  # bounds the memory of one block of the thinning matrix
 
 
 @dataclass(frozen=True)
@@ -71,11 +72,12 @@ def lossy_density_diagonal(
 ) -> np.ndarray:
     """Photon-number probabilities of one lossy squeezed mode.
 
-    Returns p[m] for m = 0 .. 2*max_n, from the double sum over squeezed
-    pair number n and photons lost k (surviving m = 2n - k). The series is
-    extended automatically until the missing tail is below ``tail_tol``,
-    unless ``auto_extend`` is false, in which case a TruncationError is
-    raised with a workable max_n.
+    Returns p[m] for m = 0 .. 2*n_top. Loss is a beamsplitter, so p is the
+    lossless pair distribution P(2n) thinned binomially: each of the 2n
+    photons survives with probability eta^2. n_top doubles from ``max_n``
+    until the lossless tail 1 - sum P is below ``tail_tol`` (thinning keeps
+    the total, so that is also the tail of p). With ``auto_extend`` false a
+    TruncationError names the max_n that would have sufficed instead.
     """
     if max_n < 0:
         raise InvalidArgumentError(f"max_n must be >= 0, got {max_n}")
@@ -85,51 +87,60 @@ def lossy_density_diagonal(
         raise InvalidArgumentError(f"xi_mode must be >= 0, got {xi_mode}")
     n_top = max_n
     while True:
-        probs = _diagonal_upto(xi_mode, eta, n_top)
-        tail = 1.0 - probs.sum()
+        log_fact = np.array([lgamma(j + 1) for j in range(2 * n_top + 1)])
+        pairs = _pair_probabilities(xi_mode, log_fact)
+        tail = 1.0 - pairs.sum()
+        if n_top == max_n:
+            first_tail = tail
         if tail < tail_tol:
             break
-        if not auto_extend:
-            needed = n_top
-            while True:
-                needed *= 2
-                if needed > 100000:
-                    raise TruncationError("series does not converge within 1e5 terms")
-                if 1.0 - _diagonal_upto(xi_mode, eta, needed).sum() < tail_tol:
-                    break
-            raise TruncationError(
-                f"truncation tail {tail:.3e} exceeds {tail_tol:.1e}; use max_n >= {needed}"
-            )
-        n_top *= 2
+        n_top = max(2 * n_top, 1)
         if n_top > 100000:
             raise TruncationError("series does not converge within 1e5 terms")
-    return probs
+    if n_top != max_n and not auto_extend:
+        raise TruncationError(
+            f"truncation tail {first_tail:.3e} exceeds {tail_tol:.1e}; use max_n >= {n_top}"
+        )
+    return _binomial_thinning(pairs, eta, log_fact)
 
 
-def _diagonal_upto(xi_mode: float, eta: float, n_top: int) -> np.ndarray:
-    """Evaluate the double sum with pair number n <= n_top, in log space."""
-    probs = np.zeros(2 * n_top + 1)
-    if xi_mode == 0.0:
-        probs[0] = 1.0
-        return probs
-    t = tanh(xi_mode)
-    log_cosh = log(np.cosh(xi_mode))
-    log_t2 = 2.0 * log(t)
-    log_eta2 = 2.0 * log(eta) if eta > 0.0 else -np.inf
-    log_loss = log(1.0 - eta**2) if eta < 1.0 else -np.inf
-    for n in range(n_top + 1):
-        # log of (tanh^2n) * ((2n)! / (2^n n!))^2 / cosh
-        base = n * log_t2 + 2.0 * (lgamma(2 * n + 1) - n * log(2.0) - lgamma(n + 1)) - log_cosh
-        for k in range(2 * n + 1):
-            m = 2 * n - k
-            if m > 0 and eta == 0.0:
-                continue
-            if k > 0 and eta == 1.0:
-                continue
-            term = base - lgamma(k + 1) - lgamma(m + 1)
-            if m > 0:
-                term += m * log_eta2
-            if k > 0:
-                term += k * log_loss
-            probs[m] += np.exp(term)
+def _log_powers(exponents, base: float):
+    """exponents * log(base), taking 0 * log(0) as 0."""
+    if base > 0.0:
+        return exponents * log(base)
+    return np.where(exponents > 0, -np.inf, 0.0)
+
+
+def _pair_probabilities(xi_mode: float, log_fact: np.ndarray) -> np.ndarray:
+    """Lossless P(2n) = tanh^2n (2n)! / (4^n (n!)^2 cosh), n = 0 .. len(log_fact) // 2."""
+    n = np.arange(log_fact.size // 2 + 1)
+    log_p = (
+        _log_powers(n, tanh(xi_mode) ** 2)
+        + log_fact[2 * n]
+        - 2.0 * log_fact[n]
+        - n * log(4.0)
+        - log(np.cosh(xi_mode))
+    )
+    return np.exp(log_p)
+
+
+def _binomial_thinning(pairs: np.ndarray, eta: float, log_fact: np.ndarray) -> np.ndarray:
+    """p[m] = sum_n C(2n, m) eta^2m (1 - eta^2)^(2n - m) P(2n), in row blocks of B."""
+    two_n = 2 * np.arange(pairs.size)
+    probs = np.empty(two_n[-1] + 1)
+    rows = max(1, _BLOCK_ENTRIES // pairs.size)
+    for start in range(0, probs.size, rows):
+        m = np.arange(start, min(start + rows, probs.size))[:, None]
+        first = start // 2  # pairs with 2n < m cannot leave m photons
+        lost = two_n[first:] - m
+        kept = lost >= 0
+        lost = np.where(kept, lost, 0)
+        log_b = (
+            log_fact[two_n[first:]]
+            - log_fact[m]
+            - log_fact[lost]
+            + _log_powers(m, eta**2)
+            + _log_powers(lost, 1.0 - eta**2)
+        )
+        probs[start : start + rows] = np.where(kept, np.exp(log_b), 0.0) @ pairs[first:]
     return probs

@@ -227,3 +227,47 @@ def marginal_fwhm(axis, marginal):
     x_lo = axis[lo] if lo == 0 else crossing(lo - 1, lo)
     x_hi = axis[hi] if hi == len(marginal) - 1 else crossing(hi + 1, hi)
     return abs(x_hi - x_lo)
+
+
+def naive_lossy_diagonal(xi_mode, eta, max_n=20, tail_tol=1e-10):
+    """Lossy squeezed-vacuum Fock diagonal as the explicit double sum.
+
+    Sums every (pair number n, photons lost k) term in log space, and
+    doubles n_top from max_n, re-running the whole sum, until the missing
+    probability is below tail_tol. Returns p[m] for m = 0 .. 2*n_top.
+    """
+    n_top = max_n
+    while True:
+        probs = _double_sum(xi_mode, eta, n_top)
+        if 1.0 - probs.sum() < tail_tol:
+            return probs
+        n_top *= 2
+
+
+def _double_sum(xi_mode, eta, n_top):
+    probs = np.zeros(2 * n_top + 1)
+    if xi_mode == 0.0:
+        probs[0] = 1.0
+        return probs
+    log_cosh = math.log(math.cosh(xi_mode))
+    log_t2 = 2.0 * math.log(math.tanh(xi_mode))
+    log_eta2 = 2.0 * math.log(eta) if eta > 0.0 else -math.inf
+    log_loss = math.log(1.0 - eta**2) if eta < 1.0 else -math.inf
+    for n in range(n_top + 1):
+        # log of tanh^2n * ((2n)! / (2^n n!))^2 / cosh
+        base = (
+            n * log_t2
+            + 2.0 * (math.lgamma(2 * n + 1) - n * math.log(2.0) - math.lgamma(n + 1))
+            - log_cosh
+        )
+        for k in range(2 * n + 1):
+            m = 2 * n - k
+            if (m > 0 and eta == 0.0) or (k > 0 and eta == 1.0):
+                continue
+            term = base - math.lgamma(k + 1) - math.lgamma(m + 1)
+            if m > 0:
+                term += m * log_eta2
+            if k > 0:
+                term += k * log_loss
+            probs[m] += math.exp(term)
+    return probs

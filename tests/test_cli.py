@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from biphoton import cli
 from biphoton.cli import (
     build_jsa,
     cmd_fringe,
@@ -67,6 +70,25 @@ def test_fringe_report_and_csv(tmp_path):
     assert lines[2] == "phase_rad,p12_raw,p12_norm"
     first = lines[3].split(",")
     assert len(first) == 3
+
+
+@pytest.mark.parametrize("second_source, builds", [(False, 1), (True, 2)])
+def test_fringe_builds_one_jsa_per_source(monkeypatch, second_source, builds):
+    scenario = load_bundled(RING)
+    if second_source:
+        detuned = dataclasses.replace(scenario.source, q_factor=0.9 * scenario.source.q_factor)
+        scenario = dataclasses.replace(scenario, source2=detuned)
+    calls = []
+
+    def counting_build_jsa(*args, **kwargs):
+        calls.append(args)
+        return build_jsa(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_jsa", counting_build_jsa)
+    report = cmd_fringe(scenario, n_points=N_SMALL)
+    assert len(calls) == builds
+    if second_source:
+        assert report["overlap"] < 1.0
 
 
 def test_stats_report():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biphoton.errors import InvalidArgumentError, OutOfBandError, UnderResolvedError
+from biphoton.errors import InvalidArgumentError
 from biphoton.spectral import (
     C_VACUUM,
     FilterSpec,
@@ -11,7 +11,6 @@ from biphoton.spectral import (
     omega_to_wavelength,
     pump_amplitude,
     sample_filter,
-    sample_pump,
     wavelength_to_omega,
 )
 
@@ -80,39 +79,6 @@ def test_pump_amplitude_fwhm(shape):
     edge = abs(pump_amplitude(line, line.center_omega + fwhm / 2))
     # (w0 + fwhm/2) - w0 is not exactly fwhm/2 at optical carrier magnitudes
     assert edge / peak == pytest.approx(0.5, rel=1e-9)
-
-
-def test_sample_pump_discrete_norm():
-    line = PumpLine(1550e-9, 2 * np.pi * 50e9)
-    grid = FrequencyGrid(line.center_omega - 1e12, line.center_omega + 1e12, 2001)
-    vals = sample_pump(line, grid)
-    assert np.sum(np.abs(vals) ** 2) * grid.step == pytest.approx(1.0, abs=1e-12)
-
-
-def test_sample_pump_relative_amplitude_scale():
-    line = PumpLine(1550e-9, 2 * np.pi * 50e9, relative_amplitude=0.5j)
-    grid = FrequencyGrid(line.center_omega - 1e12, line.center_omega + 1e12, 2001)
-    vals = sample_pump(line, grid)
-    assert np.sum(np.abs(vals) ** 2) * grid.step == pytest.approx(0.25, abs=1e-12)
-
-
-def test_sample_pump_out_of_band():
-    line = PumpLine(1550e-9, 2 * np.pi * 50e9)
-    grid = FrequencyGrid(1.0e15, 1.1e15, 101)  # far from 1550 nm
-    with pytest.raises(OutOfBandError):
-        sample_pump(line, grid)
-
-
-def test_sample_pump_under_resolved_modes():
-    line = PumpLine(1550e-9, 2 * np.pi * 0.1e9)  # 0.1 GHz on a coarse grid
-    grid = FrequencyGrid(line.center_omega - 1e12, line.center_omega + 1e12, 101)
-    with pytest.raises(UnderResolvedError):
-        sample_pump(line, grid)
-    with pytest.warns(UserWarning):
-        sample_pump(line, grid, on_under_resolved="warn")
-    sample_pump(line, grid, on_under_resolved="ignore")
-    with pytest.raises(InvalidArgumentError):
-        sample_pump(line, grid, on_under_resolved="bogus")
 
 
 def test_pump_line_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import naive_lossy_diagonal
 
 from biphoton.errors import InvalidArgumentError, TruncationError
 from biphoton.squeezing import (
@@ -88,8 +89,22 @@ def test_lossy_diagonal_mean_photon_number():
     assert mean == pytest.approx(eta**2 * np.sinh(xi) ** 2, rel=1e-8)
 
 
+@pytest.mark.parametrize("xi", [0.0, 0.3, 1.0, 2.2])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
+def test_lossy_diagonal_matches_double_sum(xi, eta):
+    p = lossy_density_diagonal(xi, eta)
+    reference = naive_lossy_diagonal(xi, eta)
+    assert p.size == reference.size
+    assert np.max(np.abs(p - reference)) <= 1e-12 * reference.max()
+
+
+def test_lossy_diagonal_extends_from_max_n_zero():
+    p = lossy_density_diagonal(0.5, 0.7, max_n=0)
+    assert np.sum(p) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_truncation_error_reports_suggestion():
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=r"use max_n >= 1024$"):
         lossy_density_diagonal(2.5, 0.9, max_n=2, auto_extend=False)
 
 
