@@ -8,7 +8,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 # below this |x| the two-term series avoids 0/0 and cancellation in sin(x)/x
-_SINC_SERIES_CUTOFF = 1e-4
+SINC_SERIES_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def delta_k(model: DispersionModel, omega_s, omega_i, omega_p1):
 def sinc(x):
     """sin(x)/x with sinc(0) = 1; series branch below 1e-4 for < 1e-12 relative error."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SINC_SERIES_CUTOFF
+    small = np.abs(x) < SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, x)
     return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -131,9 +132,15 @@ def _number(section: dict, key: str, path: str, default=None, positive: bool = F
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: must be finite, got {section[key]!r}")
     if positive and value <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {value}")
-    return float(value)
+        raise ConfigError(f"{path}.{key}: must be positive, got {section[key]}")
+    return value
 
 
 def _parse_pump(section, path: str) -> PumpLine:

@@ -17,7 +17,9 @@ class SchmidtSpectrum:
     """Nonincreasing coefficients r (summing to 1) plus discrete mode functions.
 
     ``signal_modes[k]`` / ``idler_modes[k]`` are unit-L2 functions on their
-    grids (they carry the 1/sqrt(step) measure scaling).
+    grids (they carry the 1/sqrt(step) measure scaling). There is one
+    coefficient per row or column of the JSA's non-zero block, whichever
+    is fewer (see ``schmidt_decompose``).
     """
 
     coefficients: np.ndarray
@@ -39,28 +41,51 @@ class OverlapResult:
     phase: float
 
 
+def _passband(jsa: JointSpectralAmplitude):
+    """Rows and columns holding a non-zero entry, and the measure-weighted block there.
+
+    A filtered JSA is exactly zero outside the filter passband, and zero
+    rows and columns add only zero singular values, so the SVD of this
+    block has the same non-zero spectrum as the full matrix. An unfiltered
+    JSA keeps every row and column.
+    """
+    nonzero = jsa.values != 0
+    rows = np.flatnonzero(np.any(nonzero, axis=1))
+    cols = np.flatnonzero(np.any(nonzero, axis=0))
+    block = jsa.values
+    if rows.size < block.shape[0] or cols.size < block.shape[1]:
+        block = block[np.ix_(rows, cols)]
+    return rows, cols, block * np.sqrt(jsa.measure)
+
+
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
-    """SVD of the measure-weighted JSA matrix.
+    """SVD of the measure-weighted JSA matrix over its non-zero rows and columns.
 
     r are the squared singular values of F * sqrt(ds * di), sorted
     nonincreasing (LAPACK order; ties keep their index order, so the
-    result is deterministic).
+    result is deterministic). There are min(rows, cols) of them, counting
+    only rows and columns with a non-zero entry; the modes are zero
+    outside those and have the full grid length.
     """
     _require_normalized(jsa)
     ds, di = jsa.grid_s.step, jsa.grid_i.step
-    u, s, vh = np.linalg.svd(jsa.values * np.sqrt(ds * di), full_matrices=False)
+    rows, cols, block = _passband(jsa)
+    u, s, vh = np.linalg.svd(block, full_matrices=False)
+    signal_modes = np.zeros((s.size, jsa.grid_s.n_points), dtype=u.dtype)
+    idler_modes = np.zeros((s.size, jsa.grid_i.n_points), dtype=vh.dtype)
+    signal_modes[:, rows] = u.T
+    idler_modes[:, cols] = vh
+    signal_modes /= np.sqrt(ds)
+    idler_modes /= np.sqrt(di)
     return SchmidtSpectrum(
-        coefficients=s**2,
-        signal_modes=u.T / np.sqrt(ds),
-        idler_modes=vh / np.sqrt(di),
+        coefficients=s**2, signal_modes=signal_modes, idler_modes=idler_modes
     )
 
 
 def purity(jsa: JointSpectralAmplitude) -> float:
     """Heralded-photon spectral purity, sum of squared Schmidt coefficients."""
     _require_normalized(jsa)
-    ds, di = jsa.grid_s.step, jsa.grid_i.step
-    s = np.linalg.svd(jsa.values * np.sqrt(ds * di), compute_uv=False)
+    s = np.linalg.svd(_passband(jsa)[2], compute_uv=False)
     return float(np.sum(s**4))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import DispersionModel, phase_matching
+from .dispersion import SINC_SERIES_CUTOFF, DispersionModel, k_of_omega
 from .errors import (
     DegenerateInputError,
     GridMismatchError,
@@ -161,12 +161,57 @@ def _pump_quadrature(line: PumpLine, points_per_fwhm: int, halfwidth_fwhms: floa
 def _normalize(
     grid_s: FrequencyGrid, grid_i: FrequencyGrid, values: np.ndarray, context: str
 ) -> JointSpectralAmplitude:
-    norm2 = np.sum(np.abs(values) ** 2) * grid_s.step * grid_i.step
+    """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
+    norm2 = np.vdot(values, values).real * grid_s.step * grid_i.step
+    if not np.isfinite(norm2):
+        raise DegenerateInputError(f"{context} produced non-finite values")
     if norm2 < 1e-300:
         raise DegenerateInputError(f"{context} produced an all-zero joint spectrum")
-    return JointSpectralAmplitude(
-        grid_s=grid_s, grid_i=grid_i, values=values / np.sqrt(norm2), norm_applied=True
-    )
+    values /= np.sqrt(norm2)
+    return JointSpectralAmplitude(grid_s=grid_s, grid_i=grid_i, values=values, norm_applied=True)
+
+
+def _require_resolved(fwhm: float, grid: FrequencyGrid, what: str):
+    """A spectral feature narrower than two grid steps is not sampled by the grid."""
+    if not fwhm >= 2.0 * grid.step:
+        raise UnderResolvedError(
+            f"{what} FWHM {fwhm:.3e} rad/s is below 2 grid steps ({2.0 * grid.step:.3e} rad/s)"
+        )
+
+
+def _pump_product(
+    pump1: PumpLine,
+    pump2: PumpLine,
+    grid: FrequencyGrid,
+    points_per_fwhm: int,
+    halfwidth_fwhms: float,
+):
+    """Weighted pump product on the pump-1 nodes and the signal+idler sums.
+
+    The pump convolution depends on ws and wi only through S = ws + wi,
+    which takes the 2N-1 values S_m = 2*omega_min + m*step on the grid
+    (m = s + i). Returns the nodes, the sums and
+    product[n, m] = w_n * a(node_n) * b(S_m - node_n).
+    """
+    nodes, weights = _pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
+    _require_resolved(pump1.linewidth_fwhm, grid, "pump1")
+    _require_resolved(pump2.linewidth_fwhm, grid, "pump2")
+    sums = 2.0 * grid.omega_min + np.arange(2 * grid.n_points - 1) * grid.step
+    product = pump_amplitude(pump2, sums[None, :] - nodes[:, None])
+    product *= (weights * pump_amplitude(pump1, nodes))[:, None]
+    return nodes, sums, product
+
+
+def _mirror(n: int, s: np.ndarray, i: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The symmetric n x n matrix whose entries at (s, i), s <= i, are ``upper``.
+
+    Filling both triangles from one set of values keeps F[s, i] == F[i, s]
+    bit for bit (an elementwise complex product need not commute exactly).
+    """
+    values = np.empty((n, n), dtype=complex)
+    values[s, i] = upper
+    values[i, s] = upper
+    return values
 
 
 def build_waveguide_jsa(
@@ -179,19 +224,43 @@ def build_waveguide_jsa(
 ) -> JointSpectralAmplitude:
     """Unit-normalized JSA of a waveguide source on a square grid.
 
-    Integrates a(w) * b(ws + wi - w) * pm(ws, wi, w) over the first pump
-    line's support; ``pm`` is the sinc phase-matching factor.
+    Integrates a(w) * b(ws + wi - w) * exp(ix) sinc(x) over the first pump
+    line's support, with x = L * dk / 2 and dk = K(ws, wi) - G_w(ws + wi),
+    K = k(ws) + k(wi), G_w(S) = k(w) + k(S - w). The kernel is evaluated in
+    the separable form exp(ix) sinc(x) = (E_s * E_i * conj(exp(iL G_w)) - 1) / (2ix)
+    with E = exp(iLk), and by its series 1 + ix - 2x^2/3 where |x| < 1e-4.
+    F is symmetric, so only s <= i is computed and then mirrored.
     """
-    nodes, weights = _pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
-    pts = grid.points()
-    omega_sum = pts[:, None] + pts[None, :]
-    acc = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    a1 = pump_amplitude(pump1, nodes)
-    for node, wgt, a in zip(nodes, weights, a1):
-        b = pump_amplitude(pump2, omega_sum - node)
-        pm = phase_matching(source.dispersion, source.length, pts[:, None], pts[None, :], node)
-        acc += (wgt * a) * b * pm
-    return _normalize(grid, grid, acc, "waveguide builder")
+    nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
+    length = source.length
+    # beta0 and beta1 cancel in dk because ws + wi = w_p1 + w_p2; dropping
+    # them keeps the phases L*k, and their rounding, small
+    model = replace(source.dispersion, beta0=0.0, beta1=0.0)
+    k = k_of_omega(model, grid.points())
+    phase = np.exp(1j * length * k)
+    s, i = np.triu_indices(grid.n_points)
+    m = s + i
+    k_si = k[s] + k[i]
+    phase_si = phase[s] * phase[i]
+    acc = np.zeros(m.size, dtype=complex)
+    # entries with x = 0 divide by zero below; the series branch replaces them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for node, weighted in zip(nodes, product):
+            g = k_of_omega(model, node) + k_of_omega(model, sums - node)
+            x = k_si - g[m]
+            x *= length / 2.0
+            # q = (exp(2ix) - 1) / (2x) = 1j * exp(ix) sinc(x); the 1j comes off at the end
+            q = np.exp(-1j * length * g)[m]
+            q *= phase_si
+            q -= 1.0
+            q *= 0.5 / x
+            small = np.flatnonzero(np.abs(x) < SINC_SERIES_CUTOFF)
+            xs = x[small]
+            q[small] = 1j * (1.0 + 1j * xs - (2.0 / 3.0) * xs * xs)
+            q *= weighted[m]
+            acc += q
+    acc *= -1j
+    return _normalize(grid, grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
 
 
 def build_ring_jsa(
@@ -205,12 +274,15 @@ def build_ring_jsa(
 ) -> JointSpectralAmplitude:
     """Unit-normalized JSA of a microring source.
 
-    Signal and idler pick up the degenerate-resonance Lorentzian; the pump
-    convolution is weighted by the two pump-resonance Lorentzians.
+    F(ws, wi) = h(ws + wi) * l(ws) * l(wi): the pump convolution h, weighted
+    by the two pump-resonance Lorentzians, depends only on the sum
+    frequency, and signal and idler pick up the degenerate-resonance
+    Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
     """
     res_s = ring.resonance("signal")
     res_p1 = ring.resonance("pump1")
     res_p2 = ring.resonance("pump2")
+    _require_resolved(res_s.fwhm_omega, grid, "signal resonance")
     # warn when a pump is parked far off its comb line (RingOff regime)
     for line, res, tag in ((pump1, res_p1, "pump1"), (pump2, res_p2, "pump2")):
         detune = abs(line.center_omega - res.center_omega)
@@ -220,16 +292,14 @@ def build_ring_jsa(
                 "resonance (RingOff regime)",
                 RingDetuningWarning,
             )
-    nodes, weights = _pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
-    pts = grid.points()
-    omega_sum = pts[:, None] + pts[None, :]
-    acc = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    a1 = pump_amplitude(pump1, nodes) * res_p1.amplitude(nodes)
-    for node, wgt, a in zip(nodes, weights, a1):
-        b = pump_amplitude(pump2, omega_sum - node) * res_p2.amplitude(omega_sum - node)
-        acc += (wgt * a) * b
-    acc *= res_s.amplitude(pts)[:, None] * res_s.amplitude(pts)[None, :]
-    return _normalize(grid, grid, acc, "ring builder")
+    nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
+    product *= res_p2.amplitude(sums[None, :] - nodes[:, None])
+    h = res_p1.amplitude(nodes) @ product
+    lor = res_s.amplitude(grid.points())
+    s, i = np.triu_indices(grid.n_points)
+    upper = lor[s] * lor[i]
+    upper *= h[s + i]
+    return _normalize(grid, grid, _mirror(grid.n_points, s, i, upper), "ring builder")
 
 
 def apply_filter(
@@ -247,8 +317,8 @@ def apply_filter(
         raise InvalidArgumentError("apply_filter expects a normalized JSA")
     f_s = sample_filter(filter_s, jsa.grid_s)
     f_i = sample_filter(filter_i, jsa.grid_i)
-    filtered = jsa.values * f_s[:, None] * f_i[None, :]
-    survival = float(np.sum(np.abs(filtered) ** 2) * jsa.measure)
+    filtered = jsa.values * (f_s[:, None] * f_i[None, :])
+    survival = float(np.vdot(filtered, filtered).real * jsa.measure)
     if survival < min_survival:
         raise DegenerateInputError(
             f"filter annihilates the joint spectrum (survival {survival:.3e})"

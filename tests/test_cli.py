@@ -144,6 +144,40 @@ def test_main_numeric_failure_exits_three(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pumps",
+    [
+        "  - {wavelength_nm: .nan}\n  - {wavelength_nm: 1556.18}\n",
+        "  - {wavelength_nm: 1544.08, linewidth_ghz: .inf}\n  - {wavelength_nm: 1556.18}\n",
+        "  - {wavelength_nm: 1544.08}\n  - {wavelength_nm: 1556.18, linewidth_ghz: .inf}\n",
+    ],
+)
+def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
+    path = tmp_path / "non_finite.yaml"
+    path.write_text(
+        "name: non-finite\n"
+        "pumps:\n" + pumps
+        + "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+        "grid: {span_nm: 1.2, points: 61}\n"
+    )
+    assert main(["purity", "--scenario", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_main_under_resolved_ring_exits_three(tmp_path, capsys):
+    path = tmp_path / "high_q.yaml"
+    path.write_text(
+        "name: high-q\n"
+        "pumps:\n"
+        "  - {wavelength_nm: 1544.08}\n"
+        "  - {wavelength_nm: 1556.18}\n"
+        "source: {kind: ring, q_factor: 1.0e+7, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+        "grid: {span_nm: 1.2, points: 401}\n"
+    )
+    assert main(["purity", "--scenario", str(path)]) == 3
+    assert "below 2 grid steps" in capsys.readouterr().err
+
+
 def test_main_scenario_from_file(tmp_path, capsys):
     path = tmp_path / "ok.yaml"
     path.write_text(

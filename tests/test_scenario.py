@@ -136,3 +136,30 @@ def test_fringe_phases_cover_requested_range():
     assert phases.size == 11
     assert phases[0] == 0.0
     assert phases[-1] == pytest.approx(3.14)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("pumps0", "wavelength_nm", float("nan")),
+        ("pumps1", "linewidth_ghz", float("inf")),
+        ("pumps0", "amplitude", float("-inf")),
+        ("source", "length_mm", float("nan")),
+        ("source", "beta2_s2_per_m", float("inf")),
+        ("source", "length_mm", 10**400),
+    ],
+)
+def test_non_finite_number_rejected(section, key, value):
+    data = minimal_dict()
+    target = data["pumps"][int(section[-1])] if section.startswith("pumps") else data[section]
+    target[key] = value
+    with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["q_factor", "fsr_nm", "resonance_nm", "detuning_p1_nm"])
+def test_non_finite_ring_number_rejected(key):
+    source = {"kind": "ring", "q_factor": 1.5e4, "fsr_nm": 3.025, "resonance_nm": 1550.12}
+    source[key] = float("nan")
+    with pytest.raises(ConfigError, match=f"source.{key}: must be finite"):
+        scenario_from_dict(minimal_dict(source=source))

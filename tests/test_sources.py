@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from biphoton.sources import (
     build_waveguide_jsa,
     jsi,
 )
+from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled
 from biphoton.spectral import FilterSpec, FrequencyGrid, PumpLine, make_grid, wavelength_to_omega
 
 from oracles import naive_ring_jsa, naive_waveguide_jsa
@@ -57,20 +60,71 @@ def test_ring_jsa_is_unit_normalized():
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
+# Oracle comparisons use max|fast - slow| / max|slow|: every entry of a
+# unit-L2 JSA is tiny in absolute terms, so an absolute bound passes
+# anything. A JSA shifted by one row scores about 1.
+WAVEGUIDE_ORACLE_TOL = 1e-9
+RING_ORACLE_TOL = 1e-10
+# 8 pump nodes per FWHM over +-4 FWHM keep the scalar-loop oracles quick
+ORACLE_QUADRATURE = dict(points_per_fwhm=8, halfwidth_fwhms=4.0)
+
+
+def oracle_error(fast, slow):
+    return float(np.max(np.abs(fast.values - slow)) / np.max(np.abs(slow)))
+
+
+def lorentzian_pumps():
+    return tuple(replace(p, shape="lorentzian") for p in pumps())
+
+
 def test_waveguide_matches_naive_quadrature():
     p1, p2 = pumps()
-    grid = make_grid(1550.12e-9, 4e-9, 9)
-    fast = build_waveguide_jsa(p1, p2, waveguide(), grid, points_per_fwhm=8, halfwidth_fwhms=4.0)
-    slow = naive_waveguide_jsa(p1, p2, waveguide(), grid, points_per_fwhm=8, halfwidth_fwhms=4.0)
-    assert np.max(np.abs(fast.values - slow)) < 1e-10
+    grid = make_grid(1550.12e-9, 4e-9, 17)
+    fast = build_waveguide_jsa(p1, p2, waveguide(), grid, **ORACLE_QUADRATURE)
+    slow = naive_waveguide_jsa(p1, p2, waveguide(), grid, **ORACLE_QUADRATURE)
+    assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL
 
 
 def test_ring_matches_naive_quadrature():
     p1, p2 = pumps()
-    grid = make_grid(1550.12e-9, 1.0e-9, 9)
-    fast = build_ring_jsa(p1, p2, ring(), grid, points_per_fwhm=8, halfwidth_fwhms=4.0)
-    slow = naive_ring_jsa(p1, p2, ring(), grid, points_per_fwhm=8, halfwidth_fwhms=4.0)
-    assert np.max(np.abs(fast.values - slow)) < 1e-10
+    grid = make_grid(1550.12e-9, 0.8e-9, 21)
+    fast = build_ring_jsa(p1, p2, ring(), grid, **ORACLE_QUADRATURE)
+    slow = naive_ring_jsa(p1, p2, ring(), grid, **ORACLE_QUADRATURE)
+    assert oracle_error(fast, slow) <= RING_ORACLE_TOL
+
+
+@pytest.mark.parametrize(
+    "case, pump_pair, source, n_points",
+    [
+        ("even_n", pumps(), waveguide(), 16),
+        ("short_0p24mm", pumps(), WaveguideSource(0.24e-3, DispersionModel(W0, beta2=-2e-24)), 17),
+        ("beta3", pumps(), WaveguideSource(0.015, DispersionModel(W0, beta2=-1.5e-20, beta3=4e-33)), 17),
+        ("lorentzian_pump", lorentzian_pumps(), waveguide(), 18),
+        # 1 um long: |x| = L|dk|/2 stays below the 1e-4 cutoff of the series branch
+        ("series_branch", pumps(), WaveguideSource(1e-6, DispersionModel(W0, beta2=-2e-24)), 17),
+    ],
+)
+def test_waveguide_oracle_cases(case, pump_pair, source, n_points):
+    grid = make_grid(1550.12e-9, 4e-9, n_points)
+    fast = build_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    slow = naive_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL, case
+
+
+@pytest.mark.parametrize(
+    "case, pump_pair, source, n_points",
+    [
+        ("even_n", pumps(), ring(), 24),
+        ("lorentzian_pump", lorentzian_pumps(), ring(), 21),
+        # pump-1 resonance moved by three of its linewidths
+        ("detuned", pumps(), replace(ring(), detuning_p1=3 * ring().resonance("pump1").fwhm), 21),
+    ],
+)
+def test_ring_oracle_cases(case, pump_pair, source, n_points):
+    grid = make_grid(1550.12e-9, 0.8e-9, n_points)
+    fast = build_ring_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    slow = naive_ring_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    assert oracle_error(fast, slow) <= RING_ORACLE_TOL, case
 
 
 def test_ring_resonance_comb_placement():
@@ -95,13 +149,60 @@ def test_ring_detuning_warning():
         q_factor=1.5e4, fsr=3.025e-9, center_wavelength=1550.12e-9, detuning_p1=2e-9
     )
     with pytest.warns(RingDetuningWarning):
-        build_ring_jsa(p1, p2, detuned, make_grid(1550.12e-9, 1.2e-9, 21))
+        build_ring_jsa(p1, p2, detuned, make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 def test_builder_rejects_coarse_pump_quadrature():
     p1, p2 = pumps()
     with pytest.raises(UnderResolvedError):
         build_waveguide_jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 6e-9, 21), points_per_fwhm=4)
+
+
+def test_ring_resonance_narrower_than_two_grid_steps_is_rejected():
+    # Q = 1e7: a 0.16 pm resonance on a 3 pm grid step
+    p1, p2 = pumps()
+    high_q = replace(ring(), q_factor=1e7)
+    with pytest.raises(UnderResolvedError, match="signal resonance"):
+        build_ring_jsa(p1, p2, high_q, make_grid(1550.12e-9, 1.2e-9, 401))
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_pump_narrower_than_two_grid_steps_is_rejected(which):
+    lines = list(pumps())
+    lines[which] = replace(lines[which], linewidth_fwhm=0.001 * GHZ)
+    grid = make_grid(1550.12e-9, 1.2e-9, 401)
+    with pytest.raises(UnderResolvedError, match=f"pump{which + 1}"):
+        build_ring_jsa(*lines, ring(), grid)
+    with pytest.raises(UnderResolvedError, match=f"pump{which + 1}"):
+        build_waveguide_jsa(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 401))
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_resolution_guard_accepts_bundled_scenarios(name):
+    # 201 points is the coarsest grid the tests and the benchmark use; finer grids pass a fortiori
+    sc = load_bundled(name)
+    grid = sc.grid(201)
+    builder = build_ring_jsa if isinstance(sc.source, RingSource) else build_waveguide_jsa
+    out = builder(sc.pumps[0], sc.pumps[1], sc.source, grid)
+    assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_resolution_guard_accepts_q_4e4_ring_at_201_points():
+    sc = load_bundled("sipic1_ring")
+    source = replace(sc.source, q_factor=4e4)
+    out = build_ring_jsa(sc.pumps[0], sc.pumps[1], source, sc.grid(201))
+    assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_builder_non_finite_output_is_degenerate():
+    p1, p2 = pumps()
+    nan_dispersion = WaveguideSource(0.015, DispersionModel(W0, beta2=float("nan")))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        build_waveguide_jsa(p1, p2, nan_dispersion, make_grid(1550.12e-9, 6e-9, 41))
+    inf_pump = replace(p1, relative_amplitude=complex(float("inf"), 0.0))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        build_ring_jsa(inf_pump, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 def test_builder_degenerate_when_pumps_cannot_conserve_energy():
