@@ -11,7 +11,6 @@ from .errors import (
     DegenerateInputError,
     GridMismatchError,
     InvalidArgumentError,
-    OutOfBandError,
     RingDetuningWarning,
     TruncationError,
     UnderResolvedError,
@@ -27,7 +26,7 @@ from .spectral import (
     sample_filter,
     wavelength_to_omega,
 )
-from .dispersion import DispersionModel, delta_k, k_of_omega, phase_matching, sinc
+from .dispersion import DispersionModel, k_of_omega
 from .sources import (
     JointSpectralAmplitude,
     RingSource,

@@ -76,7 +76,7 @@ def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: b
     else:
         raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
     if filtered and scenario.filter_spec is not None:
-        out = apply_filter(out, scenario.filter_spec, scenario.filter_spec)
+        out = apply_filter(out, scenario.filter_spec)
     return out
 
 
@@ -98,19 +98,14 @@ def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None, filtered: b
     """Write the JSI grid as CSV with a self-describing header; returns the path."""
     out = build_jsa(scenario, n_points=n_points, filtered=filtered)
     intensity = jsi(out)
-    lam_s = omega_to_wavelength(out.grid_s.points()) * 1e9
-    lam_i = omega_to_wavelength(out.grid_i.points()) * 1e9
+    # signal and idler share the grid; the header keeps both axes for readers
+    n = out.grid.n_points
+    lam = omega_to_wavelength(out.grid.points()) * 1e9
+    lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
     lines = [header_line("jsi", scenario)]
     lines.append(
-        "# nx={} ny={} lambda_s_nm_max={} lambda_s_nm_min={} "
-        "lambda_i_nm_max={} lambda_i_nm_min={}".format(
-            out.grid_s.n_points,
-            out.grid_i.n_points,
-            fmt(lam_s[0]),
-            fmt(lam_s[-1]),
-            fmt(lam_i[0]),
-            fmt(lam_i[-1]),
-        )
+        f"# nx={n} ny={n} lambda_s_nm_max={lam_max} lambda_s_nm_min={lam_min} "
+        f"lambda_i_nm_max={lam_max} lambda_i_nm_min={lam_min}"
     )
     for row in intensity:
         lines.append(",".join(fmt(v) for v in row))

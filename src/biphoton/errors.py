@@ -9,10 +9,6 @@ class InvalidArgumentError(BiphotonError, ValueError):
     """An argument is outside its documented domain."""
 
 
-class OutOfBandError(BiphotonError):
-    """A spectral feature falls outside the frequency grid."""
-
-
 class UnderResolvedError(BiphotonError):
     """A spectral feature is too narrow for the grid or quadrature step."""
 

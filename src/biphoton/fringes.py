@@ -13,21 +13,16 @@ import numpy as np
 
 from .errors import CoverageError, InvalidArgumentError
 
-CHANNEL_PAIRS = ("p12", "p13", "p14", "p23", "p24", "p34")
-
 
 @dataclass(frozen=True)
 class FringeScan:
-    """A deterministic coincidence-probability scan over phase values."""
+    """A deterministic single-MZI (p12) coincidence-probability scan over phase values."""
 
     phase_values: np.ndarray
     probabilities: np.ndarray
-    channel_pair: str = "p12"
     normalized: bool = False
 
     def __post_init__(self):
-        if self.channel_pair not in CHANNEL_PAIRS:
-            raise InvalidArgumentError(f"unknown channel pair {self.channel_pair!r}")
         if self.phase_values.shape != self.probabilities.shape:
             raise InvalidArgumentError("phase and probability arrays must match in shape")
 
@@ -86,29 +81,14 @@ def classical_transmission(phi, offset: float = 0.0):
 
 
 def fringe_scan(
-    n_overlap: float,
-    delta: float,
-    phases: np.ndarray,
-    channel_pair: str = "p12",
-    phi1: float = 0.0,
-    normalized: bool = False,
+    n_overlap: float, delta: float, phases: np.ndarray, normalized: bool = False
 ) -> FringeScan:
-    """Scan a coincidence fringe over an array of phases.
-
-    For "p12" the scanned phase is the single-MZI phase; for the other
-    pairs it is the second-MZI phase phi2, with phi1 held fixed.
-    """
+    """Scan the single-MZI coincidence fringe (p12) over an array of phases."""
     phases = np.asarray(phases, dtype=float)
-    if channel_pair == "p12":
-        probs = reverse_hom_coincidence(n_overlap, delta, phases, normalized=normalized)
-    else:
-        probs = two_mzi_coincidences(n_overlap, delta, phi1, phases, normalized=normalized)[
-            channel_pair
-        ]
+    probs = reverse_hom_coincidence(n_overlap, delta, phases, normalized=normalized)
     return FringeScan(
         phase_values=phases,
         probabilities=np.asarray(probs, dtype=float),
-        channel_pair=channel_pair,
         normalized=normalized,
     )
 

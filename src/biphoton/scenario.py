@@ -62,7 +62,11 @@ class Scenario:
     raw: dict = field(default_factory=dict, repr=False)
 
     def grid(self, n_points: int = None) -> FrequencyGrid:
-        return make_grid(self.grid_center, self.grid_span, n_points or self.grid_points)
+        if n_points is None:
+            n_points = self.grid_points
+        elif n_points < 2:
+            raise ConfigError(f"grid points must be >= 2, got {n_points}")
+        return make_grid(self.grid_center, self.grid_span, n_points)
 
     def content_hash(self) -> str:
         """Deterministic hash of the scenario contents (for output headers)."""
@@ -143,6 +147,17 @@ def _number(section: dict, key: str, path: str, default=None, positive: bool = F
     return value
 
 
+def _integer(section: dict, key: str, path: str, default: int, minimum: int = None) -> int:
+    if key not in section:
+        return default
+    value = section[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_pump(section, path: str) -> PumpLine:
     section = _require_mapping(section, path)
     _check_keys(section, _PUMP_KEYS, path)
@@ -179,7 +194,7 @@ def _parse_source(section, path: str):
             q_factor=_number(section, "q_factor", path, positive=True),
             fsr=_number(section, "fsr_nm", path, positive=True) * 1e-9,
             center_wavelength=_number(section, "resonance_nm", path, positive=True) * 1e-9,
-            pump_comb_index=int(_number(section, "pump_comb_index", path, 2.0)),
+            pump_comb_index=_integer(section, "pump_comb_index", path, 2),
             detuning_p1=_number(section, "detuning_p1_nm", path, 0.0) * 1e-9,
             detuning_p2=_number(section, "detuning_p2_nm", path, 0.0) * 1e-9,
         )
@@ -221,18 +236,15 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
         _check_keys(gsec, _GRID_KEYS, f"{name_hint}.grid")
         grid_center = _number(gsec, "center_nm", f"{name_hint}.grid", 1550.12, positive=True) * 1e-9
         grid_span = _number(gsec, "span_nm", f"{name_hint}.grid", 1.2, positive=True) * 1e-9
-        grid_points = int(_number(gsec, "points", f"{name_hint}.grid", 401.0, positive=True))
+        grid_points = _integer(gsec, "points", f"{name_hint}.grid", 401, minimum=2)
     fringe = FringeSettings()
     if "fringe" in data:
         frsec = _require_mapping(data["fringe"], f"{name_hint}.fringe")
         _check_keys(frsec, _FRINGE_KEYS, f"{name_hint}.fringe")
-        steps = int(_number(frsec, "steps", f"{name_hint}.fringe", 181.0, positive=True))
-        if steps < 2:
-            raise ConfigError(f"{name_hint}.fringe.steps: must be >= 2")
         fringe = FringeSettings(
             phase_min=_number(frsec, "phase_min", f"{name_hint}.fringe", 0.0),
             phase_max=_number(frsec, "phase_max", f"{name_hint}.fringe", 2.0 * np.pi),
-            steps=steps,
+            steps=_integer(frsec, "steps", f"{name_hint}.fringe", 181, minimum=2),
         )
         if not fringe.phase_max > fringe.phase_min:
             raise ConfigError(f"{name_hint}.fringe: phase_max must exceed phase_min")
@@ -245,6 +257,10 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
             xi=_number(ssec, "xi", f"{name_hint}.squeezing", 0.1),
             eta=_number(ssec, "eta", f"{name_hint}.squeezing", 1.0),
         )
+        if squeezing.xi < 0:
+            raise ConfigError(f"{name_hint}.squeezing.xi: must be >= 0, got {squeezing.xi}")
+        if not 0.0 <= squeezing.eta <= 1.0:
+            raise ConfigError(f"{name_hint}.squeezing.eta: must be in [0, 1], got {squeezing.eta}")
     return Scenario(
         name=data["name"],
         pumps=pump_lines,

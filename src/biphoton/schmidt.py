@@ -16,15 +16,15 @@ TAIL_REL_TOL = 1e-12
 class SchmidtSpectrum:
     """Nonincreasing coefficients r (summing to 1) plus discrete mode functions.
 
-    ``signal_modes[k]`` / ``idler_modes[k]`` are unit-L2 functions on their
-    grids (they carry the 1/sqrt(step) measure scaling). There is one
+    ``signal_modes[k]`` / ``idler_modes[k]`` are unit-L2 functions on the
+    JSA's grid (they carry the 1/sqrt(step) measure scaling). There is one
     coefficient per row or column of the JSA's non-zero block, whichever
     is fewer (see ``schmidt_decompose``).
     """
 
     coefficients: np.ndarray
-    signal_modes: np.ndarray  # shape (n_modes, n_s)
-    idler_modes: np.ndarray  # shape (n_modes, n_i)
+    signal_modes: np.ndarray  # shape (n_modes, n_points)
+    idler_modes: np.ndarray  # shape (n_modes, n_points)
 
     def significant(self, rel_tol: float = TAIL_REL_TOL) -> np.ndarray:
         """Coefficients above rel_tol of the leading one (for reporting)."""
@@ -61,22 +61,22 @@ def _passband(jsa: JointSpectralAmplitude):
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
     """SVD of the measure-weighted JSA matrix over its non-zero rows and columns.
 
-    r are the squared singular values of F * sqrt(ds * di), sorted
+    r are the squared singular values of F * step, sorted
     nonincreasing (LAPACK order; ties keep their index order, so the
     result is deterministic). There are min(rows, cols) of them, counting
     only rows and columns with a non-zero entry; the modes are zero
     outside those and have the full grid length.
     """
     _require_normalized(jsa)
-    ds, di = jsa.grid_s.step, jsa.grid_i.step
     rows, cols, block = _passband(jsa)
     u, s, vh = np.linalg.svd(block, full_matrices=False)
-    signal_modes = np.zeros((s.size, jsa.grid_s.n_points), dtype=u.dtype)
-    idler_modes = np.zeros((s.size, jsa.grid_i.n_points), dtype=vh.dtype)
+    signal_modes = np.zeros((s.size, jsa.grid.n_points), dtype=u.dtype)
+    idler_modes = np.zeros((s.size, jsa.grid.n_points), dtype=vh.dtype)
     signal_modes[:, rows] = u.T
     idler_modes[:, cols] = vh
-    signal_modes /= np.sqrt(ds)
-    idler_modes /= np.sqrt(di)
+    scale = np.sqrt(jsa.grid.step)
+    signal_modes /= scale
+    idler_modes /= scale
     return SchmidtSpectrum(
         coefficients=s**2, signal_modes=signal_modes, idler_modes=idler_modes
     )
@@ -92,10 +92,10 @@ def purity(jsa: JointSpectralAmplitude) -> float:
 def jsa_overlap(jsa1: JointSpectralAmplitude, jsa2: JointSpectralAmplitude) -> OverlapResult:
     """Overlap N*exp(i*delta) between two sources' joint spectra.
 
-    Both JSAs must live on identical grids and be normalized; to compare
+    Both JSAs must live on the same grid and be normalized; to compare
     filtered sources, pass each through ``apply_filter`` first.
     """
-    if not (jsa1.grid_s.same_axis(jsa2.grid_s) and jsa1.grid_i.same_axis(jsa2.grid_i)):
+    if jsa1.grid != jsa2.grid:
         raise GridMismatchError("jsa_overlap requires both JSAs on identical grids")
     _require_normalized(jsa1)
     _require_normalized(jsa2)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersion import SINC_SERIES_CUTOFF, DispersionModel, k_of_omega
+from .dispersion import DispersionModel, k_of_omega
 from .errors import (
     DegenerateInputError,
     GridMismatchError,
@@ -36,6 +36,8 @@ from .spectral import (
 MIN_POINTS_PER_FWHM = 8
 DEFAULT_POINTS_PER_FWHM = 16
 DEFAULT_HALFWIDTH_FWHMS = 8.0
+# below this |x| the waveguide kernel takes its series, avoiding 0/0 and cancellation
+SINC_SERIES_CUTOFF = 1e-4
 
 
 @dataclass(frozen=True)
@@ -113,24 +115,23 @@ class RingResonance:
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Discretized complex F(ws, wi), signal-major, on a pair of grids."""
+    """Discretized complex F(ws, wi), signal-major; signal and idler share one grid."""
 
-    grid_s: FrequencyGrid
-    grid_i: FrequencyGrid
+    grid: FrequencyGrid
     values: np.ndarray
     norm_applied: bool = False
     survival: float = 1.0
 
     def __post_init__(self):
-        if self.values.shape != (self.grid_s.n_points, self.grid_i.n_points):
+        n = self.grid.n_points
+        if self.values.shape != (n, n):
             raise GridMismatchError(
-                f"values shape {self.values.shape} does not match grids "
-                f"({self.grid_s.n_points}, {self.grid_i.n_points})"
+                f"values shape {self.values.shape} does not match the grid ({n}, {n})"
             )
 
     @property
     def measure(self) -> float:
-        return self.grid_s.step * self.grid_i.step
+        return self.grid.step * self.grid.step
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.values) ** 2) * self.measure)
@@ -158,17 +159,15 @@ def _pump_quadrature(line: PumpLine, points_per_fwhm: int, halfwidth_fwhms: floa
     return nodes, weights
 
 
-def _normalize(
-    grid_s: FrequencyGrid, grid_i: FrequencyGrid, values: np.ndarray, context: str
-) -> JointSpectralAmplitude:
+def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSpectralAmplitude:
     """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
-    norm2 = np.vdot(values, values).real * grid_s.step * grid_i.step
+    norm2 = np.vdot(values, values).real * grid.step * grid.step
     if not np.isfinite(norm2):
         raise DegenerateInputError(f"{context} produced non-finite values")
     if norm2 < 1e-300:
         raise DegenerateInputError(f"{context} produced an all-zero joint spectrum")
     values /= np.sqrt(norm2)
-    return JointSpectralAmplitude(grid_s=grid_s, grid_i=grid_i, values=values, norm_applied=True)
+    return JointSpectralAmplitude(grid=grid, values=values, norm_applied=True)
 
 
 def _require_resolved(fwhm: float, grid: FrequencyGrid, what: str):
@@ -260,7 +259,7 @@ def build_waveguide_jsa(
             q *= weighted[m]
             acc += q
     acc *= -1j
-    return _normalize(grid, grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
+    return _normalize(grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
 
 
 def build_ring_jsa(
@@ -299,29 +298,26 @@ def build_ring_jsa(
     s, i = np.triu_indices(grid.n_points)
     upper = lor[s] * lor[i]
     upper *= h[s + i]
-    return _normalize(grid, grid, _mirror(grid.n_points, s, i, upper), "ring builder")
+    return _normalize(grid, _mirror(grid.n_points, s, i, upper), "ring builder")
 
 
 def apply_filter(
-    jsa: JointSpectralAmplitude,
-    filter_s: FilterSpec,
-    filter_i: FilterSpec,
-    min_survival: float = 1e-12,
+    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = 1e-12
 ) -> JointSpectralAmplitude:
-    """Apply amplitude filters to both axes and re-normalize.
+    """Apply one amplitude filter to both signal and idler and re-normalize.
 
     The pre-renormalization L2 survival fraction is recorded on the result
-    (a heralding-efficiency proxy).
+    (a heralding-efficiency proxy). Filtering both axes by the same profile
+    keeps a symmetric JSA symmetric.
     """
     if not jsa.norm_applied:
         raise InvalidArgumentError("apply_filter expects a normalized JSA")
-    f_s = sample_filter(filter_s, jsa.grid_s)
-    f_i = sample_filter(filter_i, jsa.grid_i)
-    filtered = jsa.values * (f_s[:, None] * f_i[None, :])
+    f = sample_filter(spec, jsa.grid)
+    filtered = jsa.values * (f[:, None] * f[None, :])
     survival = float(np.vdot(filtered, filtered).real * jsa.measure)
     if survival < min_survival:
         raise DegenerateInputError(
             f"filter annihilates the joint spectrum (survival {survival:.3e})"
         )
-    out = _normalize(jsa.grid_s, jsa.grid_i, filtered, "filtering")
+    out = _normalize(jsa.grid, filtered, "filtering")
     return replace(out, survival=survival)

@@ -57,16 +57,6 @@ class FrequencyGrid:
     def wavelengths(self) -> np.ndarray:
         return omega_to_wavelength(self.points())
 
-    def contains(self, omega: float) -> bool:
-        return self.omega_min <= omega <= self.omega_max
-
-    def same_axis(self, other: "FrequencyGrid") -> bool:
-        return (
-            self.omega_min == other.omega_min
-            and self.omega_max == other.omega_max
-            and self.n_points == other.n_points
-        )
-
 
 def make_grid(center_wavelength: float, span: float, n_points: int) -> FrequencyGrid:
     """Build a grid symmetric in wavelength about ``center_wavelength``.

@@ -145,7 +145,7 @@ def test_acceptance_5_oracle_equivalence():
     err_purity = 0.0
     for _ in range(100):
         values = random_normalized_jsa(rng, 12) / base.step  # unit L2 with measure
-        out = JointSpectralAmplitude(base, base, values, norm_applied=True)
+        out = JointSpectralAmplitude(base, values, norm_applied=True)
         err_purity = max(
             err_purity,
             abs(purity(out) - purity_quadruple_sum(values, base.step, base.step)),
@@ -242,14 +242,14 @@ def test_acceptance_8_joint_spectrum_shapes():
         scenario = load_bundled(name)
         out = build_jsa(scenario, filtered=False)
         marg = jsi(out).sum(axis=1)
-        lam_nm = out.grid_s.wavelengths() * 1e9
+        lam_nm = out.grid.wavelengths() * 1e9
         fwhms[name] = marginal_fwhm(lam_nm, marg)
     ring1_ok = abs(fwhms["sipic1_ring"] - 0.10) <= 0.015
     ring2_ok = abs(fwhms["sipic2_ring"] - 0.05) <= 0.0075
     wg = load_bundled("sipic1_waveguide_15mm")
     out = build_jsa(wg, filtered=True)
-    lam = out.grid_s.wavelengths()
-    half_band = wg.filter_spec.bandwidth / 2 + out.grid_s.step * 0  # wavelength test
+    lam = out.grid.wavelengths()
+    half_band = wg.filter_spec.bandwidth / 2 + out.grid.step * 0  # wavelength test
     in_band = np.abs(lam - wg.filter_spec.center_wavelength) <= half_band * 1.02
     weight = np.abs(out.values) ** 2 * out.measure
     in_fraction = float(weight[np.ix_(in_band, in_band)].sum() / weight.sum())

@@ -124,6 +124,12 @@ def test_main_unknown_scenario_exits_two(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("points", ["0", "1", "-5"])
+def test_main_grid_points_below_two_exits_two(capsys, points):
+    assert main(["purity", "--scenario", RING, "--grid-points", points]) == 2
+    assert "grid points must be >= 2" in capsys.readouterr().err
+
+
 def test_main_jsi_requires_out(capsys):
     assert main(["jsi", "--scenario", RING]) == 2
 

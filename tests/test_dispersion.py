@@ -1,85 +1,14 @@
-import numpy as np
 import pytest
 
-from biphoton.dispersion import DispersionModel, delta_k, k_of_omega, phase_matching, sinc
-from biphoton.errors import InvalidArgumentError
+from biphoton.dispersion import DispersionModel, k_of_omega
 from biphoton.spectral import wavelength_to_omega
 
 W0 = float(wavelength_to_omega(1550e-9))
 
 
-def model(**kw):
-    defaults = dict(reference_omega=W0, beta0=6e6, beta1=1.5e-8, beta2=-2e-24, beta3=1e-39)
-    defaults.update(kw)
-    return DispersionModel(**defaults)
-
-
 def test_k_of_omega_matches_direct_polynomial():
-    m = model()
+    m = DispersionModel(reference_omega=W0, beta0=6e6, beta1=1.5e-8, beta2=-2e-24, beta3=1e-39)
     for d in (-3e12, 0.0, 1e11, 2.5e12):
         w = W0 + d
         expected = m.beta0 + m.beta1 * d + m.beta2 * d**2 / 2 + m.beta3 * d**3 / 6
         assert k_of_omega(m, w) == pytest.approx(expected, rel=1e-14)
-
-
-def test_delta_k_vanishes_for_linear_dispersion():
-    # with beta2 = beta3 = 0 the four Taylor terms cancel exactly
-    m = model(beta2=0.0, beta3=0.0)
-    ws, wi, wp1 = W0 + 1e12, W0 - 0.3e12, W0 - 2e12
-    assert delta_k(m, ws, wi, wp1) == pytest.approx(0.0, abs=1e-20)
-
-
-def test_delta_k_symmetric_in_signal_idler():
-    m = model()
-    ws, wi, wp1 = W0 + 0.7e12, W0 - 0.2e12, W0 - 2e12
-    assert delta_k(m, ws, wi, wp1) == delta_k(m, wi, ws, wp1)
-
-
-def test_delta_k_energy_conservation_built_in():
-    # the second pump frequency is ws + wi - wp1 by construction; moving
-    # wp1 while keeping ws + wi fixed must change delta k accordingly
-    m = model()
-    ws, wi = W0 + 1e12, W0 - 1e12
-    d1 = delta_k(m, ws, wi, W0 - 2e12)
-    d2 = delta_k(m, ws, wi, W0 - 1e12)
-    assert d1 != d2
-
-
-def test_sinc_small_and_large_arguments():
-    assert sinc(0.0) == 1.0
-    x = np.array([1e-8, 1e-5, 0.5, 2.0, np.pi])
-    np.testing.assert_allclose(sinc(x), np.sinc(x / np.pi), rtol=1e-12, atol=1e-16)
-
-
-def test_sinc_series_branch_is_continuous():
-    # values straddling the series/exact switchover agree to high order
-    eps = 1e-4
-    lo, hi = sinc(eps * (1 - 1e-9)), sinc(eps * (1 + 1e-9))
-    assert abs(lo - hi) < 1e-15
-
-
-def test_phase_matching_perfect_at_zero_mismatch():
-    m = model(beta2=0.0, beta3=0.0)
-    pm = phase_matching(m, 0.015, W0 + 1e12, W0 - 1e12, W0 - 2e12)
-    assert pm == pytest.approx(1.0 + 0.0j, abs=1e-14)
-
-
-def test_phase_matching_magnitude_bounded():
-    m = model()
-    ws = W0 + np.linspace(-2e12, 2e12, 41)[:, None]
-    wi = W0 + np.linspace(-2e12, 2e12, 41)[None, :]
-    pm = phase_matching(m, 0.015, ws, wi, W0 - 2e12)
-    assert np.all(np.abs(pm) <= 1.0 + 1e-12)
-
-
-def test_phase_matching_phase_is_half_mismatch():
-    m = model()
-    ws, wi, wp1 = W0 + 0.5e12, W0 - 0.1e12, W0 - 2e12
-    x = delta_k(m, ws, wi, wp1) * 0.015 / 2
-    pm = phase_matching(m, 0.015, ws, wi, wp1)
-    assert pm == pytest.approx(np.exp(1j * x) * sinc(x), rel=1e-14)
-
-
-def test_phase_matching_rejects_negative_length():
-    with pytest.raises(InvalidArgumentError):
-        phase_matching(model(), -1.0, W0, W0, W0)

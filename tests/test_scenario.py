@@ -163,3 +163,23 @@ def test_non_finite_ring_number_rejected(key):
     source[key] = float("nan")
     with pytest.raises(ConfigError, match=f"source.{key}: must be finite"):
         scenario_from_dict(minimal_dict(source=source))
+
+
+RING_SOURCE = {"kind": "ring", "q_factor": 1.5e4, "fsr_nm": 3.025, "resonance_nm": 1550.12}
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"source": {**RING_SOURCE, "pump_comb_index": 1.9}}, "pump_comb_index: expected an integer"),
+        ({"grid": {"points": 401.7}}, "points: expected an integer"),
+        ({"grid": {"points": 1}}, "points: must be >= 2"),
+        ({"fringe": {"steps": 2.9}}, "steps: expected an integer"),
+        ({"squeezing": {"eta": 2}}, r"eta: must be in \[0, 1\]"),
+        ({"squeezing": {"xi": -1}}, "xi: must be >= 0"),
+    ],
+    ids=["comb_index_1.9", "points_401.7", "points_1", "steps_2.9", "eta_2", "xi_-1"],
+)
+def test_values_are_not_coerced(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(minimal_dict(**extra))

@@ -21,7 +21,7 @@ def jsa_from_values(values, span=1e-9, center=CENTER):
     n = values.shape[0]
     grid = make_grid(center, span, n)
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.step**2)
-    return JointSpectralAmplitude(grid, grid, values / norm, norm_applied=True)
+    return JointSpectralAmplitude(grid, values / norm, norm_applied=True)
 
 
 def gaussian_jsa(n=41, correlation=0.0):
@@ -50,13 +50,13 @@ def test_purity_matches_quadruple_sum_oracle():
     for _ in range(5):
         values = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
         out = jsa_from_values(values)
-        expected = purity_quadruple_sum(out.values, out.grid_s.step, out.grid_i.step)
+        expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
         assert purity(out) == pytest.approx(expected, abs=1e-10)
 
 
 def test_purity_requires_normalized_jsa():
     grid = make_grid(CENTER, 1e-9, 11)
-    raw = JointSpectralAmplitude(grid, grid, np.ones((11, 11), dtype=complex))
+    raw = JointSpectralAmplitude(grid, np.ones((11, 11), dtype=complex))
     with pytest.raises(InvalidArgumentError):
         purity(raw)
 
@@ -64,7 +64,7 @@ def test_purity_requires_normalized_jsa():
 def test_schmidt_modes_orthonormal_and_reconstruct():
     out = gaussian_jsa(n=31, correlation=0.6)
     spectrum = schmidt_decompose(out)
-    ds = out.grid_s.step
+    ds = out.grid.step
     r = spectrum.coefficients
     assert np.sum(r) == pytest.approx(1.0, abs=1e-10)
     gram = spectrum.signal_modes @ spectrum.signal_modes.conj().T * ds
@@ -105,7 +105,7 @@ def test_overlap_requires_matching_grids():
     b_vals = np.ones((21, 21), dtype=complex)
     grid = make_grid(CENTER, 2e-9, 21)
     norm = np.sqrt(np.sum(np.abs(b_vals) ** 2) * grid.step**2)
-    b = JointSpectralAmplitude(grid, grid, b_vals / norm, norm_applied=True)
+    b = JointSpectralAmplitude(grid, b_vals / norm, norm_applied=True)
     with pytest.raises(GridMismatchError):
         jsa_overlap(a, b)
 
@@ -114,16 +114,14 @@ def test_filtered_overlap_renormalizes():
     # two different sources that agree inside the filter band overlap at 1
     out1 = gaussian_jsa(n=81, correlation=0.0)
     values2 = out1.values.copy()
-    lam = out1.grid_s.wavelengths()
+    lam = out1.grid.wavelengths()
     outside = np.abs(lam - CENTER) > 0.2e-9
     values2[outside, :] *= 0.1  # differ only outside the band
     norm = np.sqrt(np.sum(np.abs(values2) ** 2) * out1.measure)
-    out2 = JointSpectralAmplitude(
-        out1.grid_s, out1.grid_i, values2 / norm, norm_applied=True
-    )
+    out2 = JointSpectralAmplitude(out1.grid, values2 / norm, norm_applied=True)
     narrow = FilterSpec(CENTER, 0.35e-9)
     assert jsa_overlap(out1, out2).magnitude < 1.0
-    res = jsa_overlap(apply_filter(out1, narrow, narrow), apply_filter(out2, narrow, narrow))
+    res = jsa_overlap(apply_filter(out1, narrow), apply_filter(out2, narrow))
     assert res.magnitude == pytest.approx(1.0, abs=1e-12)
 
 
