@@ -109,7 +109,7 @@ def extract_visibility(scan: FringeScan) -> float:
 
 def accidental_fraction(car: float) -> float:
     """Accidental-coincidence fraction 1/(CAR + 1)."""
-    if car <= 0:
+    if not car > 0:
         raise InvalidArgumentError(f"CAR must be positive, got {car}")
     return 1.0 / (car + 1.0)
 

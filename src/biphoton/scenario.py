@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
 import yaml
 
 from .dispersion import DispersionModel
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .spectral import FilterSpec, FrequencyGrid, PumpLine, make_grid, wavelength_to_omega
 from .sources import RingSource, WaveguideSource
 
@@ -51,22 +51,21 @@ class Scenario:
     name: str
     pumps: tuple
     source: object  # WaveguideSource | RingSource
+    axis: FrequencyGrid  # the scenario grid, built once at parse time
     source2: object = None  # optional second source of a pair
     filter_spec: FilterSpec = None
-    grid_center: float = 1550.12e-9
-    grid_span: float = 1.2e-9
-    grid_points: int = 401
     fringe: FringeSettings = field(default_factory=FringeSettings)
     car: float = None
-    squeezing: SqueezingSettings = None
+    squeezing: SqueezingSettings = field(default_factory=SqueezingSettings)
     raw: dict = field(default_factory=dict, repr=False)
 
     def grid(self, n_points: int = None) -> FrequencyGrid:
+        """The scenario grid, or the same band sampled at ``n_points`` points."""
         if n_points is None:
-            n_points = self.grid_points
-        elif n_points < 2:
+            return self.axis
+        if n_points < 2:
             raise ConfigError(f"grid points must be >= 2, got {n_points}")
-        return make_grid(self.grid_center, self.grid_span, n_points)
+        return replace(self.axis, n_points=n_points)
 
     def content_hash(self) -> str:
         """Deterministic hash of the scenario contents (for output headers)."""
@@ -158,20 +157,26 @@ def _integer(section: dict, key: str, path: str, default: int, minimum: int = No
     return value
 
 
+def _build(path: str, constructor, *args, **kwargs):
+    """Call a domain constructor; its InvalidArgumentError becomes a ConfigError at ``path``."""
+    try:
+        return constructor(*args, **kwargs)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse_pump(section, path: str) -> PumpLine:
     section = _require_mapping(section, path)
     _check_keys(section, _PUMP_KEYS, path)
     wavelength = _number(section, "wavelength_nm", path, positive=True) * 1e-9
     linewidth = _number(section, "linewidth_ghz", path, DEFAULT_LINEWIDTH_GHZ, positive=True)
-    shape = section.get("shape", "gaussian")
-    if shape not in ("gaussian", "lorentzian"):
-        raise ConfigError(f"{path}.shape: must be 'gaussian' or 'lorentzian', got {shape!r}")
-    amplitude = complex(_number(section, "amplitude", path, 1.0))
-    return PumpLine(
+    return _build(
+        path,
+        PumpLine,
         center_wavelength=wavelength,
         linewidth_fwhm=linewidth * _GHZ,
-        shape=shape,
-        relative_amplitude=amplitude,
+        shape=section.get("shape", "gaussian"),
+        relative_amplitude=complex(_number(section, "amplitude", path, 1.0)),
     )
 
 
@@ -187,14 +192,16 @@ def _parse_source(section, path: str):
             beta2=_number(section, "beta2_s2_per_m", path, 0.0),
             beta3=_number(section, "beta3_s3_per_m", path, 0.0),
         )
-        return WaveguideSource(length=length, dispersion=model)
+        return _build(path, WaveguideSource, length=length, dispersion=model)
     if kind == "ring":
         _check_keys(section, _RING_KEYS, path)
-        return RingSource(
+        return _build(
+            path,
+            RingSource,
             q_factor=_number(section, "q_factor", path, positive=True),
             fsr=_number(section, "fsr_nm", path, positive=True) * 1e-9,
             center_wavelength=_number(section, "resonance_nm", path, positive=True) * 1e-9,
-            pump_comb_index=_integer(section, "pump_comb_index", path, 2),
+            pump_comb_index=_integer(section, "pump_comb_index", path, 2, minimum=1),
             detuning_p1=_number(section, "detuning_p1_nm", path, 0.0) * 1e-9,
             detuning_p2=_number(section, "detuning_p2_nm", path, 0.0) * 1e-9,
         )
@@ -220,56 +227,51 @@ def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
     if "filter" in data:
         fsec = _require_mapping(data["filter"], f"{name_hint}.filter")
         _check_keys(fsec, _FILTER_KEYS, f"{name_hint}.filter")
-        profile = fsec.get("profile", "rectangle")
-        if profile not in ("rectangle", "raised_cosine"):
-            raise ConfigError(f"{name_hint}.filter.profile: unknown profile {profile!r}")
-        filter_spec = FilterSpec(
+        filter_spec = _build(
+            f"{name_hint}.filter",
+            FilterSpec,
             center_wavelength=_number(fsec, "center_nm", f"{name_hint}.filter", positive=True)
             * 1e-9,
             bandwidth=_number(fsec, "bandwidth_nm", f"{name_hint}.filter", positive=True) * 1e-9,
-            profile=profile,
+            profile=fsec.get("profile", "rectangle"),
             rolloff=_number(fsec, "rolloff", f"{name_hint}.filter", 0.0),
         )
-    grid_center, grid_span, grid_points = 1550.12e-9, 1.2e-9, 401
-    if "grid" in data:
-        gsec = _require_mapping(data["grid"], f"{name_hint}.grid")
-        _check_keys(gsec, _GRID_KEYS, f"{name_hint}.grid")
-        grid_center = _number(gsec, "center_nm", f"{name_hint}.grid", 1550.12, positive=True) * 1e-9
-        grid_span = _number(gsec, "span_nm", f"{name_hint}.grid", 1.2, positive=True) * 1e-9
-        grid_points = _integer(gsec, "points", f"{name_hint}.grid", 401, minimum=2)
-    fringe = FringeSettings()
-    if "fringe" in data:
-        frsec = _require_mapping(data["fringe"], f"{name_hint}.fringe")
-        _check_keys(frsec, _FRINGE_KEYS, f"{name_hint}.fringe")
-        fringe = FringeSettings(
-            phase_min=_number(frsec, "phase_min", f"{name_hint}.fringe", 0.0),
-            phase_max=_number(frsec, "phase_max", f"{name_hint}.fringe", 2.0 * np.pi),
-            steps=_integer(frsec, "steps", f"{name_hint}.fringe", 181, minimum=2),
-        )
-        if not fringe.phase_max > fringe.phase_min:
-            raise ConfigError(f"{name_hint}.fringe: phase_max must exceed phase_min")
-    car = _number(data, "car", name_hint, None, positive=True) if "car" in data else None
-    squeezing = None
-    if "squeezing" in data:
-        ssec = _require_mapping(data["squeezing"], f"{name_hint}.squeezing")
-        _check_keys(ssec, _SQUEEZE_KEYS, f"{name_hint}.squeezing")
-        squeezing = SqueezingSettings(
-            xi=_number(ssec, "xi", f"{name_hint}.squeezing", 0.1),
-            eta=_number(ssec, "eta", f"{name_hint}.squeezing", 1.0),
-        )
-        if squeezing.xi < 0:
-            raise ConfigError(f"{name_hint}.squeezing.xi: must be >= 0, got {squeezing.xi}")
-        if not 0.0 <= squeezing.eta <= 1.0:
-            raise ConfigError(f"{name_hint}.squeezing.eta: must be in [0, 1], got {squeezing.eta}")
+    gsec = _require_mapping(data.get("grid", {}), f"{name_hint}.grid")
+    _check_keys(gsec, _GRID_KEYS, f"{name_hint}.grid")
+    axis = _build(
+        f"{name_hint}.grid",
+        make_grid,
+        _number(gsec, "center_nm", f"{name_hint}.grid", 1550.12, positive=True) * 1e-9,
+        _number(gsec, "span_nm", f"{name_hint}.grid", 1.2, positive=True) * 1e-9,
+        _integer(gsec, "points", f"{name_hint}.grid", 401, minimum=2),
+    )
+    frsec = _require_mapping(data.get("fringe", {}), f"{name_hint}.fringe")
+    _check_keys(frsec, _FRINGE_KEYS, f"{name_hint}.fringe")
+    fringe = FringeSettings(
+        phase_min=_number(frsec, "phase_min", f"{name_hint}.fringe", 0.0),
+        phase_max=_number(frsec, "phase_max", f"{name_hint}.fringe", 2.0 * np.pi),
+        steps=_integer(frsec, "steps", f"{name_hint}.fringe", 181, minimum=2),
+    )
+    if not fringe.phase_max > fringe.phase_min:
+        raise ConfigError(f"{name_hint}.fringe: phase_max must exceed phase_min")
+    car = _number(data, "car", name_hint, None, positive=True)
+    ssec = _require_mapping(data.get("squeezing", {}), f"{name_hint}.squeezing")
+    _check_keys(ssec, _SQUEEZE_KEYS, f"{name_hint}.squeezing")
+    squeezing = SqueezingSettings(
+        xi=_number(ssec, "xi", f"{name_hint}.squeezing", 0.1),
+        eta=_number(ssec, "eta", f"{name_hint}.squeezing", 1.0),
+    )
+    if squeezing.xi < 0:
+        raise ConfigError(f"{name_hint}.squeezing.xi: must be >= 0, got {squeezing.xi}")
+    if not 0.0 <= squeezing.eta <= 1.0:
+        raise ConfigError(f"{name_hint}.squeezing.eta: must be in [0, 1], got {squeezing.eta}")
     return Scenario(
         name=data["name"],
         pumps=pump_lines,
         source=source,
         source2=source2,
         filter_spec=filter_spec,
-        grid_center=grid_center,
-        grid_span=grid_span,
-        grid_points=grid_points,
+        axis=axis,
         fringe=fringe,
         car=car,
         squeezing=squeezing,

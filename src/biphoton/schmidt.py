@@ -14,17 +14,23 @@ TAIL_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Nonincreasing coefficients r (summing to 1) plus discrete mode functions.
+    """Nonincreasing Schmidt coefficients r, summing to 1.
 
-    ``signal_modes[k]`` / ``idler_modes[k]`` are unit-L2 functions on the
-    JSA's grid (they carry the 1/sqrt(step) measure scaling). There is one
-    coefficient per row or column of the JSA's non-zero block, whichever
-    is fewer (see ``schmidt_decompose``).
+    There is one coefficient per row or column of the JSA's non-zero
+    block, whichever is fewer (see ``schmidt_decompose``).
     """
 
     coefficients: np.ndarray
-    signal_modes: np.ndarray  # shape (n_modes, n_points)
-    idler_modes: np.ndarray  # shape (n_modes, n_points)
+
+    @property
+    def purity(self) -> float:
+        """Heralded-photon spectral purity, the sum of squared coefficients."""
+        return float(np.sum(self.coefficients**2))
+
+    @property
+    def tail(self) -> float:
+        """Weight of the coefficients that ``significant()`` leaves out."""
+        return float(np.sum(self.coefficients) - np.sum(self.significant()))
 
     def significant(self, rel_tol: float = TAIL_REL_TOL) -> np.ndarray:
         """Coefficients above rel_tol of the leading one (for reporting)."""
@@ -41,8 +47,8 @@ class OverlapResult:
     phase: float
 
 
-def _passband(jsa: JointSpectralAmplitude):
-    """Rows and columns holding a non-zero entry, and the measure-weighted block there.
+def _passband(jsa: JointSpectralAmplitude) -> np.ndarray:
+    """The measure-weighted JSA over the rows and columns holding a non-zero entry.
 
     A filtered JSA is exactly zero outside the filter passband, and zero
     rows and columns add only zero singular values, so the SVD of this
@@ -55,38 +61,24 @@ def _passband(jsa: JointSpectralAmplitude):
     block = jsa.values
     if rows.size < block.shape[0] or cols.size < block.shape[1]:
         block = block[np.ix_(rows, cols)]
-    return rows, cols, block * np.sqrt(jsa.measure)
+    return block * np.sqrt(jsa.measure)
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
-    """SVD of the measure-weighted JSA matrix over its non-zero rows and columns.
+    """Schmidt coefficients of a normalized JSA from a values-only SVD.
 
-    r are the squared singular values of F * step, sorted
-    nonincreasing (LAPACK order; ties keep their index order, so the
-    result is deterministic). There are min(rows, cols) of them, counting
-    only rows and columns with a non-zero entry; the modes are zero
-    outside those and have the full grid length.
+    r are the squared singular values of F * step over the rows and
+    columns with a non-zero entry, sorted nonincreasing; there are
+    min(rows, cols) of them.
     """
     _require_normalized(jsa)
-    rows, cols, block = _passband(jsa)
-    u, s, vh = np.linalg.svd(block, full_matrices=False)
-    signal_modes = np.zeros((s.size, jsa.grid.n_points), dtype=u.dtype)
-    idler_modes = np.zeros((s.size, jsa.grid.n_points), dtype=vh.dtype)
-    signal_modes[:, rows] = u.T
-    idler_modes[:, cols] = vh
-    scale = np.sqrt(jsa.grid.step)
-    signal_modes /= scale
-    idler_modes /= scale
-    return SchmidtSpectrum(
-        coefficients=s**2, signal_modes=signal_modes, idler_modes=idler_modes
-    )
+    s = np.linalg.svd(_passband(jsa), compute_uv=False)
+    return SchmidtSpectrum(coefficients=s**2)
 
 
 def purity(jsa: JointSpectralAmplitude) -> float:
-    """Heralded-photon spectral purity, sum of squared Schmidt coefficients."""
-    _require_normalized(jsa)
-    s = np.linalg.svd(_passband(jsa)[2], compute_uv=False)
-    return float(np.sum(s**4))
+    """Heralded-photon spectral purity of a normalized JSA (``SchmidtSpectrum.purity``)."""
+    return schmidt_decompose(jsa).purity
 
 
 def jsa_overlap(jsa1: JointSpectralAmplitude, jsa2: JointSpectralAmplitude) -> OverlapResult:

@@ -66,8 +66,6 @@ def make_grid(center_wavelength: float, span: float, n_points: int) -> Frequency
     """
     if span <= 0:
         raise InvalidArgumentError(f"span must be positive, got {span}")
-    if n_points < 2:
-        raise InvalidArgumentError(f"n_points must be >= 2, got {n_points}")
     if center_wavelength <= 0:
         raise InvalidArgumentError(f"center_wavelength must be positive, got {center_wavelength}")
     lam_lo = center_wavelength - span / 2.0

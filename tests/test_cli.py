@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from biphoton import cli
+from biphoton import pipeline
 from biphoton.cli import (
     build_jsa,
     cmd_fringe,
@@ -84,7 +85,7 @@ def test_fringe_builds_one_jsa_per_source(monkeypatch, second_source, builds):
         calls.append(args)
         return build_jsa(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_jsa", counting_build_jsa)
+    monkeypatch.setattr(pipeline, "build_jsa", counting_build_jsa)
     report = cmd_fringe(scenario, n_points=N_SMALL)
     assert len(calls) == builds
     if second_source:
@@ -130,6 +131,13 @@ def test_main_grid_points_below_two_exits_two(capsys, points):
     assert "grid points must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("car", ["0", "-1", "nan", "inf"])
+def test_main_non_positive_or_non_finite_car_exits_two(capsys, car):
+    argv = ["fringe", "--scenario", RING, "--grid-points", str(N_SMALL), f"--car={car}"]
+    assert main(argv) == 2
+    assert "--car: must be finite and positive" in capsys.readouterr().err
+
+
 def test_main_jsi_requires_out(capsys):
     assert main(["jsi", "--scenario", RING]) == 2
 
@@ -168,6 +176,33 @@ def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
     )
     assert main(["purity", "--scenario", str(path)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: raised_cosine, rolloff: 2}\n",
+         r"filter: rolloff must be in \[0, 1\]"),
+        ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: raised_cosine, rolloff: -0.5}\n",
+         r"filter: rolloff must be in \[0, 1\]"),
+        ("grid: {span_nm: 5000, points: 61}\n", "grid: span too large"),
+    ],
+    ids=["rolloff_2", "rolloff_-0.5", "span_5000"],
+)
+def test_main_domain_constructor_error_exits_two(tmp_path, capsys, section, message):
+    path = tmp_path / "bad_domain.yaml"
+    path.write_text(
+        "name: bad-domain\n"
+        "pumps:\n"
+        "  - {wavelength_nm: 1544.08}\n"
+        "  - {wavelength_nm: 1556.18}\n"
+        "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+        + section
+    )
+    assert main(["purity", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert re.search(message, err)
 
 
 def test_main_under_resolved_ring_exits_three(tmp_path, capsys):

@@ -89,8 +89,9 @@ def test_overlap_validation():
 def test_accidental_fraction_values():
     assert accidental_fraction(74) == pytest.approx(1 / 75, abs=1e-15)
     assert accidental_fraction(557) == pytest.approx(1 / 558, abs=1e-15)
-    with pytest.raises(InvalidArgumentError):
-        accidental_fraction(-2.0)
+    for car in (-2.0, 0.0, float("nan")):
+        with pytest.raises(InvalidArgumentError):
+            accidental_fraction(car)
 
 
 def test_corrected_visibility_caps_at_one():

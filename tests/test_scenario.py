@@ -29,6 +29,7 @@ def test_minimal_scenario_defaults():
     assert sc.name == "unit-test"
     assert isinstance(sc.source, WaveguideSource)
     assert sc.source.length == pytest.approx(0.015)
+    assert sc.source.dispersion.beta2 == 0.0  # docs/scenarios.md: beta2_s2_per_m defaults to 0
     # default effective linewidth is 80 GHz (FWHM, ordinary frequency)
     assert sc.pumps[0].linewidth_fwhm == pytest.approx(2 * np.pi * 80e9)
     assert sc.grid(51).n_points == 51
@@ -172,14 +173,35 @@ RING_SOURCE = {"kind": "ring", "q_factor": 1.5e4, "fsr_nm": 3.025, "resonance_nm
     "extra, message",
     [
         ({"source": {**RING_SOURCE, "pump_comb_index": 1.9}}, "pump_comb_index: expected an integer"),
+        ({"source": {**RING_SOURCE, "pump_comb_index": 0}}, "pump_comb_index: must be >= 1"),
+        ({"source": {**RING_SOURCE, "pump_comb_index": -2}}, "pump_comb_index: must be >= 1"),
         ({"grid": {"points": 401.7}}, "points: expected an integer"),
         ({"grid": {"points": 1}}, "points: must be >= 2"),
         ({"fringe": {"steps": 2.9}}, "steps: expected an integer"),
         ({"squeezing": {"eta": 2}}, r"eta: must be in \[0, 1\]"),
         ({"squeezing": {"xi": -1}}, "xi: must be >= 0"),
     ],
-    ids=["comb_index_1.9", "points_401.7", "points_1", "steps_2.9", "eta_2", "xi_-1"],
+    ids=[
+        "comb_index_1.9", "comb_index_0", "comb_index_-2", "points_401.7", "points_1",
+        "steps_2.9", "eta_2", "xi_-1",
+    ],
 )
 def test_values_are_not_coerced(extra, message):
     with pytest.raises(ConfigError, match=message):
         scenario_from_dict(minimal_dict(**extra))
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"pumps": [{"wavelength_nm": 1544.08, "shape": "square"}, {"wavelength_nm": 1556.18}]},
+         r"pumps\[0\]: unknown pump shape 'square'"),
+        ({"filter": {"center_nm": 1550.12, "bandwidth_nm": 0.8, "profile": "triangle"}},
+         "filter: unknown filter profile 'triangle'"),
+    ],
+    ids=["pump_shape", "filter_profile"],
+)
+def test_domain_constructor_errors_are_config_errors(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        scenario_from_dict(minimal_dict(**extra))
+

@@ -61,23 +61,17 @@ def test_purity_requires_normalized_jsa():
         purity(raw)
 
 
-def test_schmidt_modes_orthonormal_and_reconstruct():
+def test_schmidt_coefficients_give_purity():
     out = gaussian_jsa(n=31, correlation=0.6)
-    spectrum = schmidt_decompose(out)
-    ds = out.grid.step
-    r = spectrum.coefficients
-    assert np.sum(r) == pytest.approx(1.0, abs=1e-10)
-    gram = spectrum.signal_modes @ spectrum.signal_modes.conj().T * ds
-    np.testing.assert_allclose(gram, np.eye(len(r)), atol=1e-8)
-    rebuilt = sum(
-        np.sqrt(r[k]) * np.outer(spectrum.signal_modes[k], spectrum.idler_modes[k])
-        for k in range(len(r))
-    )
-    assert np.max(np.abs(rebuilt - out.values)) < 1e-8
+    r = schmidt_decompose(out).coefficients
+    assert np.sum(r**2) == purity(out)
+    expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
+    assert purity(out) == pytest.approx(expected, abs=1e-10)
 
 
 def test_schmidt_significant_truncation():
     spectrum = schmidt_decompose(gaussian_jsa(n=31, correlation=0.6))
+    assert np.sum(spectrum.coefficients) == pytest.approx(1.0, abs=1e-10)
     kept = spectrum.significant(1e-6)
     assert kept.size <= spectrum.coefficients.size
     assert np.all(kept >= 1e-6 * spectrum.coefficients[0])
