@@ -67,8 +67,7 @@ def read_jsi(path: str) -> np.ndarray:
 
 def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
     """Purity report: {purity, schmidt_tail, survival}."""
-    out, spectrum = pipeline.schmidt_spectrum(scenario, n_points, filtered)
-    return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": out.survival}
+    return pipeline.purity_report(scenario, n_points, filtered)
 
 
 def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None, filtered: bool = True) -> str:
@@ -146,23 +145,27 @@ def main(argv=None) -> int:
         prog="biphoton",
         description="Photon-pair source simulator: joint spectra, purity, HOM fringes.",
     )
-    parser.add_argument("command", choices=["jsi", "purity", "schmidt", "fringe", "stats", "table1"])
-    parser.add_argument("--scenario", help="scenario file path or bundled scenario name")
-    parser.add_argument("--out", help="output file path (jsi/schmidt/fringe)")
-    parser.add_argument("--grid-points", type=int, default=None, help="override grid point count")
-    parser.add_argument("--no-filter", action="store_true", help="skip the band-pass filter")
-    parser.add_argument("--car", type=float, default=None, help="coincidence-to-accidental ratio")
-    parser.add_argument("--format", choices=["csv", "txt"], default="txt", dest="fmt")
+    # one subcommand per verb, each accepting only the flags it uses
+    verbs = parser.add_subparsers(dest="command", required=True)
+    for verb in ("jsi", "purity", "schmidt", "fringe", "stats", "table1"):
+        sub = verbs.add_parser(verb)
+        sub.add_argument("--grid-points", type=int, default=None, help="override grid point count")
+        if verb == "table1":
+            sub.add_argument("--format", choices=["csv", "txt"], default="txt", dest="fmt")
+            continue
+        sub.add_argument("--scenario", help="scenario file path or bundled scenario name")
+        sub.add_argument("--no-filter", action="store_true", help="skip the band-pass filter")
+        if verb in ("jsi", "schmidt", "fringe"):
+            sub.add_argument("--out", help="output file path")
+        if verb == "fringe":
+            sub.add_argument("--car", type=float, help="coincidence-to-accidental ratio")
     args = parser.parse_args(argv)
-    filtered = not args.no_filter
     try:
-        # the scenario file's rule for car, applied to the flag
-        if args.car is not None and not (math.isfinite(args.car) and args.car > 0):
-            raise ConfigError(f"--car: must be finite and positive, got {args.car}")
         if args.command == "table1":
             sys.stdout.write(cmd_table1(args.fmt, n_points=args.grid_points))
             return 0
         scenario = _resolve_scenario(args.scenario)
+        filtered = not args.no_filter
         if args.command in ("jsi", "schmidt") and not args.out:
             raise ConfigError(f"{args.command} requires --out")
         if args.command == "jsi":
@@ -174,6 +177,9 @@ def main(argv=None) -> int:
             cmd_schmidt(scenario, args.out, args.grid_points, filtered)
             print(f"wrote {args.out}")
         elif args.command == "fringe":
+            # the scenario file's rule for car, applied to the flag
+            if args.car is not None and not (math.isfinite(args.car) and args.car > 0):
+                raise ConfigError(f"--car: must be finite and positive, got {args.car}")
             _report(cmd_fringe(scenario, args.out, args.grid_points, filtered, args.car))
         elif args.command == "stats":
             _report(cmd_stats(scenario, args.grid_points, filtered))

@@ -14,7 +14,7 @@ class UnderResolvedError(BiphotonError):
 
 
 class DegenerateInputError(BiphotonError):
-    """Inputs produce an identically-zero (or numerically-zero) result."""
+    """Inputs produce an identically-zero, numerically-zero or non-finite result."""
 
 
 class GridMismatchError(BiphotonError):

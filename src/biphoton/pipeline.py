@@ -5,18 +5,25 @@ fringes and squeezing statistics. The CLI only formats what these return.
 """
 from __future__ import annotations
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, DegenerateInputError
 from .fringes import corrected_visibility, extract_visibility, fringe_scan
 from .scenario import Scenario, load_bundled
 from .schmidt import jsa_overlap, overlap_from_visibility, schmidt_decompose, visibility_from_overlap
 from .sources import (
+    MIN_SURVIVAL,
+    JointSpectralAmplitude,
     RingSource,
     WaveguideSource,
     apply_filter,
     build_ring_jsa,
     build_waveguide_jsa,
+    filter_survival,
     jsi,
+    norm2_bound,
 )
+from .spectral import FilterSpec, FrequencyGrid, sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
 
 # Table rows: (label, bundled scenario, observed fringe visibility)
@@ -29,19 +36,55 @@ TABLE1_ROWS = (
 )
 
 
+def _source_jsa(scenario: Scenario, source, grid: FrequencyGrid):
+    """The unfiltered, unit-normalized JSA of one source on ``grid``."""
+    if isinstance(source, WaveguideSource):
+        return build_waveguide_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
+    if isinstance(source, RingSource):
+        return build_ring_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
+    raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
+
+
+def _passband_window(grid: FrequencyGrid, spec: FilterSpec):
+    """Indices (lo, hi) of the first and last grid point the filter passes, widened to 2 points."""
+    support = np.flatnonzero(sample_filter(spec, grid))
+    if support.size == 0:
+        raise DegenerateInputError("filter annihilates the joint spectrum (survival 0.000e+00)")
+    lo, hi = int(support[0]), int(support[-1])
+    if hi == lo:
+        lo, hi = (lo, lo + 1) if lo + 1 < grid.n_points else (lo - 1, lo)
+    return lo, hi
+
+
 def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """Build (and optionally filter) the JSA described by a scenario."""
+    """Build the JSA described by a scenario, behind its filter unless ``filtered`` is false.
+
+    A filtered JSA is zero outside the filter passband, so the builder runs
+    on the passband sub-grid only (the same points as the scenario grid) and
+    the result is embedded in the scenario grid. Filtering on the whole grid
+    raises when the filter passes less than MIN_SURVIVAL of the norm. The
+    window keeps that rule exactly: its filtered norm over ``norm2_bound``
+    is a lower bound on the survival, and where that bound cannot clear
+    MIN_SURVIVAL the JSA is built on the whole grid and filtered there.
+    """
     source = source or scenario.source
     grid = scenario.grid(n_points)
-    if isinstance(source, WaveguideSource):
-        out = build_waveguide_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
-    elif isinstance(source, RingSource):
-        out = build_ring_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
-    else:
-        raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
-    if filtered and scenario.filter_spec is not None:
-        out = apply_filter(out, scenario.filter_spec)
-    return out
+    spec = scenario.filter_spec if filtered else None
+    if spec is None:
+        return _source_jsa(scenario, source, grid)
+    lo, hi = _passband_window(grid, spec)
+    start = grid.omega_min + lo * grid.step
+    window = FrequencyGrid(start, grid.omega_min + hi * grid.step, hi - lo + 1)
+    try:
+        part = _source_jsa(scenario, source, window)
+        values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+        values[lo : hi + 1, lo : hi + 1] = part.values
+        bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
+        embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
+        return apply_filter(embedded, spec, MIN_SURVIVAL * bound / part.norm2_before)
+    except DegenerateInputError:
+        # the window is all zero or cannot certify the survival: the whole grid decides
+        return apply_filter(_source_jsa(scenario, source, grid), spec)
 
 
 def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
@@ -70,6 +113,22 @@ def schmidt_spectrum(scenario: Scenario, n_points: int = None, filtered: bool = 
     return out, schmidt_decompose(out)
 
 
+def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
+    """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
+
+    Survival is the fraction of the unfiltered JSA's norm, over the whole
+    grid, that the filter passes. Its unfiltered build runs first and is
+    released before the filtered one, so the two are never held together.
+    """
+    survival = 1.0
+    if filtered and scenario.filter_spec is not None:
+        survival = filter_survival(
+            build_jsa(scenario, n_points=n_points, filtered=False), scenario.filter_spec
+        )
+    _, spectrum = schmidt_spectrum(scenario, n_points, filtered)
+    return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
+
+
 def fringe_report(scenario: Scenario, n_points: int = None, filtered: bool = True, car: float = None):
     """(report, raw p12 scan, normalised p12 scan); ``car`` overrides the scenario's CAR."""
     overlap = scenario_overlap(scenario, n_points, filtered)
@@ -95,13 +154,17 @@ def stats_report(scenario: Scenario, n_points: int = None, filtered: bool = True
     _, spectrum = schmidt_spectrum(scenario, n_points, filtered)
     settings = scenario.squeezing
     spec = SqueezingSpec(settings.xi, spectrum.coefficients, transmissions=settings.eta)
-    return {
-        "xi": settings.xi,
-        "eta": settings.eta,
-        "mean_photon_number": mean_photon_number(spec),
-        "trigger_probability": trigger_probability(spec),
-        "n_modes": int(spectrum.significant().size),
-    }
+    # strong squeezing overflows sinh and cosh: a typed error, not a warning and an inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        moments = {
+            "mean_photon_number": mean_photon_number(spec),
+            "trigger_probability": trigger_probability(spec),
+        }
+    for name, value in moments.items():
+        if not np.isfinite(value):
+            raise DegenerateInputError(f"{name} is not finite ({value}); squeezing too strong")
+    n_modes = int(spectrum.significant().size)
+    return {"xi": settings.xi, "eta": settings.eta, **moments, "n_modes": n_modes}
 
 
 def table1(n_points: int = None) -> list:

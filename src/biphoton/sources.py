@@ -38,6 +38,8 @@ DEFAULT_POINTS_PER_FWHM = 16
 DEFAULT_HALFWIDTH_FWHMS = 8.0
 # below this |x| the waveguide kernel takes its series, avoiding 0/0 and cancellation
 SINC_SERIES_CUTOFF = 1e-4
+# a filter passing less than this fraction of the L2 norm annihilates the spectrum
+MIN_SURVIVAL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,12 +117,16 @@ class RingResonance:
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Discretized complex F(ws, wi), signal-major; signal and idler share one grid."""
+    """Discretized complex F(ws, wi), signal-major; signal and idler share one grid.
+
+    ``norm2_before`` is the L2 norm squared of the values before they were
+    scaled to unit norm (None when the values were given already scaled).
+    """
 
     grid: FrequencyGrid
     values: np.ndarray
     norm_applied: bool = False
-    survival: float = 1.0
+    norm2_before: float = None
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -167,7 +173,7 @@ def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSp
     if norm2 < 1e-300:
         raise DegenerateInputError(f"{context} produced an all-zero joint spectrum")
     values /= np.sqrt(norm2)
-    return JointSpectralAmplitude(grid=grid, values=values, norm_applied=True)
+    return JointSpectralAmplitude(grid=grid, values=values, norm_applied=True, norm2_before=norm2)
 
 
 def _require_resolved(fwhm: float, grid: FrequencyGrid, what: str):
@@ -199,6 +205,19 @@ def _pump_product(
     product = pump_amplitude(pump2, sums[None, :] - nodes[:, None])
     product *= (weights * pump_amplitude(pump1, nodes))[:, None]
     return nodes, sums, product
+
+
+def norm2_bound(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid) -> float:
+    """Upper bound on either builder's ``norm2_before`` on ``grid`` (default quadrature).
+
+    Both kernels have modulus <= 1 (|exp(ix) sinc x| <= 1, and every ring
+    Lorentzian is peak-normalized), so no entry exceeds
+    sum_n w_n * |a(node_n)| * max |b|; |b| peaks at the pump-2 line.
+    """
+    nodes, weights = _pump_quadrature(pump1, DEFAULT_POINTS_PER_FWHM, DEFAULT_HALFWIDTH_FWHMS)
+    entry = np.sum(weights * np.abs(pump_amplitude(pump1, nodes)))
+    entry *= np.abs(pump_amplitude(pump2, pump2.center_omega))
+    return float((grid.n_points * grid.step * entry) ** 2)
 
 
 def _mirror(n: int, s: np.ndarray, i: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -301,17 +320,10 @@ def build_ring_jsa(
     return _normalize(grid, _mirror(grid.n_points, s, i, upper), "ring builder")
 
 
-def apply_filter(
-    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = 1e-12
-) -> JointSpectralAmplitude:
-    """Apply one amplitude filter to both signal and idler and re-normalize.
-
-    The pre-renormalization L2 survival fraction is recorded on the result
-    (a heralding-efficiency proxy). Filtering both axes by the same profile
-    keeps a symmetric JSA symmetric.
-    """
+def _filtered(jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float):
+    """The filtered values of a normalized JSA and the fraction of its L2 norm they keep."""
     if not jsa.norm_applied:
-        raise InvalidArgumentError("apply_filter expects a normalized JSA")
+        raise InvalidArgumentError("filtering expects a normalized JSA")
     f = sample_filter(spec, jsa.grid)
     filtered = jsa.values * (f[:, None] * f[None, :])
     survival = float(np.vdot(filtered, filtered).real * jsa.measure)
@@ -319,5 +331,27 @@ def apply_filter(
         raise DegenerateInputError(
             f"filter annihilates the joint spectrum (survival {survival:.3e})"
         )
-    out = _normalize(jsa.grid, filtered, "filtering")
-    return replace(out, survival=survival)
+    return filtered, survival
+
+
+def filter_survival(
+    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = MIN_SURVIVAL
+) -> float:
+    """Fraction of a normalized JSA's L2 norm that the filter passes on both arms.
+
+    This is the heralding-efficiency proxy; below ``min_survival`` the
+    filter annihilates the spectrum and a DegenerateInputError is raised.
+    """
+    return _filtered(jsa, spec, min_survival)[1]
+
+
+def apply_filter(
+    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = MIN_SURVIVAL
+) -> JointSpectralAmplitude:
+    """Apply one amplitude filter to both signal and idler and re-normalize.
+
+    Raises like ``filter_survival``. Filtering both axes by the same
+    profile keeps a symmetric JSA symmetric.
+    """
+    filtered, _ = _filtered(jsa, spec, min_survival)
+    return _normalize(jsa.grid, filtered, "filtering")

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -238,3 +239,48 @@ def test_no_filter_flag_changes_result(capsys):
     without = cmd_purity(scenario, n_points=101, filtered=False)
     assert with_filter["purity"] != without["purity"]
     assert without["survival"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["purity", "--scenario", RING, "--car", "5"],
+        ["purity", "--scenario", RING, "--out", "x.csv"],
+        ["purity", "--scenario", RING, "--format", "csv"],
+        ["stats", "--scenario", RING, "--out", "x.csv"],
+        ["stats", "--scenario", RING, "--car", "5"],
+        ["jsi", "--scenario", RING, "--out", "x.csv", "--car", "5"],
+        ["schmidt", "--scenario", RING, "--out", "x.csv", "--format", "csv"],
+        ["fringe", "--scenario", RING, "--format", "csv"],
+        ["table1", "--scenario", RING],
+        ["table1", "--no-filter"],
+        ["table1", "--out", "x.csv"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv if a != RING),
+)
+def test_main_rejects_flags_the_verb_does_not_use(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_main_stats_overflow_exits_three(tmp_path, capsys):
+    path = tmp_path / "strong.yaml"
+    path.write_text(
+        "name: strong-squeezing\n"
+        "pumps:\n"
+        "  - {wavelength_nm: 1544.08}\n"
+        "  - {wavelength_nm: 1556.18}\n"
+        "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+        "filter: {center_nm: 1550.12, bandwidth_nm: 0.8}\n"
+        "grid: {span_nm: 1.2, points: 61}\n"
+        "squeezing: {xi: 1000.0, eta: 0.5}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stats", "--scenario", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "mean_photon_number is not finite" in captured.err
+    assert "Warning" not in captured.err

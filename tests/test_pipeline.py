@@ -1,0 +1,164 @@
+"""The filtered JSA built on the filter passband only, against the whole-grid build."""
+import copy
+import dataclasses
+
+import numpy as np
+import pytest
+import yaml
+
+from biphoton import pipeline
+from biphoton.cli import main
+from biphoton.errors import DegenerateInputError
+from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
+from biphoton.schmidt import schmidt_decompose
+from biphoton.sources import apply_filter, filter_survival
+from biphoton.spectral import FilterSpec, sample_filter
+
+WAVEGUIDE = "sipic1_waveguide_15mm"
+RING = "sipic1_ring"
+# far in the 15 mm guide's tail: survival 2.5e-44 on the whole grid, so
+# every filtered verb must fail, although the window alone looks healthy
+TAIL_FILTER = {"center_nm": 1547.5, "bandwidth_nm": 1.5}
+# closer in: survival about 8e-8, above MIN_SURVIVAL, but the window's
+# bound cannot certify it, so the whole grid decides
+FALLBACK_FILTER = {"center_nm": 1548.75, "bandwidth_nm": 1.5}
+
+
+def whole_grid(scenario, n_points):
+    """The reference: the JSA built on the whole grid, then filtered."""
+    unfiltered = pipeline.build_jsa(scenario, n_points=n_points, filtered=False)
+    return apply_filter(unfiltered, scenario.filter_spec)
+
+
+def with_filter(scenario, spec):
+    return dataclasses.replace(scenario, filter_spec=spec)
+
+
+def assert_matches_whole_grid(scenario, n_points):
+    windowed = pipeline.build_jsa(scenario, n_points=n_points)
+    reference = whole_grid(scenario, n_points)
+    assert windowed.grid == reference.grid
+    expected = schmidt_decompose(reference).purity
+    assert schmidt_decompose(windowed).purity == pytest.approx(expected, rel=1e-11, abs=0.0)
+    scale = np.max(np.abs(reference.values))
+    assert np.max(np.abs(windowed.values - reference.values)) <= 1e-9 * scale
+    return windowed
+
+
+def scenario_file(tmp_path, name, filter_section):
+    """A bundled scenario with another filter, on 201 points, written to a file."""
+    raw = copy.deepcopy(load_bundled(name).raw)
+    raw.update(name=f"{name}-variant", filter=filter_section)
+    raw["grid"]["points"] = 201
+    path = tmp_path / "variant.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return str(path)
+
+
+def out_flag(tmp_path, verb):
+    return ["--out", str(tmp_path / "out.csv")] if verb in ("jsi", "schmidt") else []
+
+
+@pytest.mark.parametrize("n_points", [201, 401, 801])
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_window_matches_whole_grid_on_bundled_scenarios(name, n_points):
+    assert_matches_whole_grid(load_bundled(name), n_points)
+
+
+@pytest.mark.parametrize("name", [WAVEGUIDE, RING])
+def test_window_matches_whole_grid_with_raised_cosine(name):
+    scenario = load_bundled(name)
+    spec = dataclasses.replace(scenario.filter_spec, profile="raised_cosine", rolloff=0.5)
+    assert_matches_whole_grid(with_filter(scenario, spec), 201)
+
+
+@pytest.mark.parametrize("center_nm", [1549.62, 1550.62], ids=["short_edge", "long_edge"])
+def test_window_matches_whole_grid_when_filter_overhangs_grid(center_nm):
+    scenario = with_filter(load_bundled(RING), FilterSpec(center_nm * 1e-9, 0.8e-9))
+    passed = np.flatnonzero(sample_filter(scenario.filter_spec, scenario.grid(201)))
+    assert passed[0] == 0 or passed[-1] == 200  # the band runs off one end of the grid
+    assert_matches_whole_grid(scenario, 201)
+
+
+def one_point_filter(scenario, index, n_points):
+    center = float(scenario.grid(n_points).wavelengths()[index])
+    return with_filter(scenario, FilterSpec(center, 0.004e-9))
+
+
+@pytest.mark.parametrize("index", [60, 100, 140])
+def test_one_point_passband(index):
+    scenario = one_point_filter(load_bundled(RING), index, 201)
+    assert np.count_nonzero(sample_filter(scenario.filter_spec, scenario.grid(201))) == 1
+    windowed = assert_matches_whole_grid(scenario, 201)
+    assert np.count_nonzero(windowed.values) == 1
+    assert windowed.values[index, index] != 0
+
+
+@pytest.mark.parametrize("index, window", [(0, (0, 1)), (200, (199, 200))])
+def test_one_point_passband_at_grid_end(index, window):
+    # the window widens to 2 points inside the grid; this far from the
+    # energy-conservation line both builds find survival below 1e-12
+    scenario = one_point_filter(load_bundled(RING), index, 201)
+    assert pipeline._passband_window(scenario.grid(201), scenario.filter_spec) == window
+    with pytest.raises(DegenerateInputError, match="filter annihilates"):
+        whole_grid(scenario, 201)
+    with pytest.raises(DegenerateInputError, match="filter annihilates"):
+        pipeline.build_jsa(scenario, n_points=201)
+
+
+def test_bundled_window_needs_no_whole_grid_build(monkeypatch):
+    sizes = []
+
+    def spy(pump1, pump2, source, grid, *args, **kwargs):
+        sizes.append(grid.n_points)
+        return build(pump1, pump2, source, grid, *args, **kwargs)
+
+    build = pipeline.build_waveguide_jsa
+    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    pipeline.build_jsa(load_bundled(WAVEGUIDE))
+    assert sizes == [54]  # the 0.8 nm passband of the 401-point grid
+
+
+@pytest.mark.parametrize("verb", ["jsi", "purity", "schmidt", "fringe", "stats"])
+def test_filter_without_grid_point_exits_three(tmp_path, capsys, verb):
+    path = scenario_file(tmp_path, RING, {"center_nm": 1549.0, "bandwidth_nm": 0.01})
+    argv = [verb, "--scenario", path] + out_flag(tmp_path, verb)
+    assert main(argv) == 3
+    assert "filter annihilates the joint spectrum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["purity", "schmidt", "fringe", "stats"])
+def test_tail_filter_exits_three_on_every_verb(tmp_path, capsys, verb):
+    path = scenario_file(tmp_path, WAVEGUIDE, TAIL_FILTER)
+    argv = [verb, "--scenario", path] + out_flag(tmp_path, verb)
+    assert main(argv) == 3
+    assert "filter annihilates the joint spectrum" in capsys.readouterr().err
+
+
+def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, capsys):
+    scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
+    survival = filter_survival(pipeline.build_jsa(scenario, filtered=False), scenario.filter_spec)
+    assert 1e-12 <= survival <= 1e-6
+    sizes = []
+
+    def spy(pump1, pump2, source, grid, *args, **kwargs):
+        sizes.append(grid.n_points)
+        return build(pump1, pump2, source, grid, *args, **kwargs)
+
+    build = pipeline.build_waveguide_jsa
+    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    windowed = pipeline.build_jsa(scenario)
+    assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
+    purity = schmidt_decompose(windowed).purity
+    monkeypatch.undo()
+    assert purity == schmidt_decompose(whole_grid(scenario, None)).purity
+    assert main(["stats", "--scenario", scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER)]) == 0
+    assert "n_modes=" in capsys.readouterr().out
+
+
+def test_purity_survival_is_the_whole_grid_survival():
+    scenario = load_bundled(WAVEGUIDE)
+    report = pipeline.purity_report(scenario, 201)
+    unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
+    assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
+    assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201)[1].purity
