@@ -25,6 +25,8 @@ from .sources import RingSource, WaveguideSource
 
 SCHEMA_VERSION = 1
 
+# libyaml's safe loader where PyYAML was built with it (same resolver, about 5x faster)
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _GHZ = 2.0 * np.pi * 1e9  # linewidths are quoted as ordinary-frequency FWHM
 
 
@@ -283,7 +285,7 @@ def load_scenario(path) -> Scenario:
     """Load and validate a scenario YAML file (strict: unknown keys fail)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+            data = yaml.load(handle, Loader=_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -307,5 +309,5 @@ def load_bundled(name: str) -> Scenario:
     if name not in BUNDLED_SCENARIOS:
         raise ConfigError(f"unknown bundled scenario {name!r}; choose from {BUNDLED_SCENARIOS}")
     ref = resources.files("biphoton.scenarios").joinpath(f"{name}.yaml")
-    data = yaml.safe_load(ref.read_text(encoding="utf-8"))
+    data = yaml.load(ref.read_text(encoding="utf-8"), Loader=_LOADER)
     return scenario_from_dict(data, name_hint=name)

@@ -55,9 +55,8 @@ def _passband(jsa: JointSpectralAmplitude) -> np.ndarray:
     block has the same non-zero spectrum as the full matrix. An unfiltered
     JSA keeps every row and column.
     """
-    nonzero = jsa.values != 0
-    rows = np.flatnonzero(np.any(nonzero, axis=1))
-    cols = np.flatnonzero(np.any(nonzero, axis=0))
+    rows = np.flatnonzero(np.any(jsa.values, axis=1))
+    cols = np.flatnonzero(np.any(jsa.values, axis=0))
     block = jsa.values
     if rows.size < block.shape[0] or cols.size < block.shape[1]:
         block = block[np.ix_(rows, cols)]

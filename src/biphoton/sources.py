@@ -38,6 +38,7 @@ DEFAULT_POINTS_PER_FWHM = 16
 DEFAULT_HALFWIDTH_FWHMS = 8.0
 # below this |x| the waveguide kernel takes its series, avoiding 0/0 and cancellation
 SINC_SERIES_CUTOFF = 1e-4
+_BLOCK_ENTRIES = 1 << 15  # bounds the entries of one block of pump nodes x pairs
 # a filter passing less than this fraction of the L2 norm annihilates the spectrum
 MIN_SURVIVAL = 1e-12
 
@@ -112,7 +113,11 @@ class RingResonance:
         The complex form keeps the physical resonance phase in the JSA.
         """
         half = self.fwhm_omega / 2.0
-        return half / (half + 1j * (np.asarray(omega, dtype=float) - self.center_omega))
+        omega = np.asarray(omega, dtype=float)
+        # worked in one array: the ring builder passes a (nodes x sums) table
+        denominator = 1j * np.atleast_1d(omega - self.center_omega)
+        denominator += half
+        return np.divide(half, denominator, out=denominator).reshape(omega.shape)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class JointSpectralAmplitude:
         return self.grid.step * self.grid.step
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2) * self.measure)
+        return float(np.vdot(self.values, self.values).real * self.measure)
 
 
 def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -247,7 +252,9 @@ def build_waveguide_jsa(
     K = k(ws) + k(wi), G_w(S) = k(w) + k(S - w). The kernel is evaluated in
     the separable form exp(ix) sinc(x) = (E_s * E_i * conj(exp(iL G_w)) - 1) / (2ix)
     with E = exp(iLk), and by its series 1 + ix - 2x^2/3 where |x| < 1e-4.
-    F is symmetric, so only s <= i is computed and then mirrored.
+    F is symmetric, so only s <= i is computed and then mirrored. G_w and the
+    pump product depend on the pair only through S, so they are tabulated on
+    nodes x sums once and expanded to the pairs one block of nodes at a time.
     """
     nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
     length = source.length
@@ -256,27 +263,42 @@ def build_waveguide_jsa(
     model = replace(source.dispersion, beta0=0.0, beta1=0.0)
     k = k_of_omega(model, grid.points())
     phase = np.exp(1j * length * k)
+    # pairs s <= i in order of their sum index m = s + i, so that a factor
+    # tabulated on the sums expands to the pairs by a contiguous repeat
     s, i = np.triu_indices(grid.n_points)
     m = s + i
+    order = np.argsort(m, kind="stable")
+    s, i = s[order], i[order]
+    counts = np.bincount(m, minlength=sums.size)
     k_si = k[s] + k[i]
     phase_si = phase[s] * phase[i]
-    acc = np.zeros(m.size, dtype=complex)
+    k_nodes = k_of_omega(model, nodes)
+    acc = np.zeros(s.size, dtype=complex)
+    rows = max(1, _BLOCK_ENTRIES // s.size)
     # entries with x = 0 divide by zero below; the series branch replaces them
     with np.errstate(divide="ignore", invalid="ignore"):
-        for node, weighted in zip(nodes, product):
-            g = k_of_omega(model, node) + k_of_omega(model, sums - node)
-            x = k_si - g[m]
+        for start in range(0, nodes.size, rows):
+            block = slice(start, start + rows)
+            # G_w(S) on this block's nodes and every sum
+            g = k_nodes[block, None] + k_of_omega(model, sums[None, :] - nodes[block, None])
+            x = k_si - np.repeat(g, counts, axis=1)
             x *= length / 2.0
             # q = (exp(2ix) - 1) / (2x) = 1j * exp(ix) sinc(x); the 1j comes off at the end
-            q = np.exp(-1j * length * g)[m]
+            q = np.repeat(np.exp(-1j * length * g), counts, axis=1)
             q *= phase_si
             q -= 1.0
-            q *= 0.5 / x
             small = np.flatnonzero(np.abs(x) < SINC_SERIES_CUTOFF)
-            xs = x[small]
-            q[small] = 1j * (1.0 + 1j * xs - (2.0 / 3.0) * xs * xs)
-            q *= weighted[m]
-            acc += q
+            xs = x.flat[small]
+            q *= np.divide(0.5, x, out=x)
+            q.flat[small] = 1j * (1.0 + 1j * xs - (2.0 / 3.0) * xs * xs)
+            q *= np.repeat(product[block], counts, axis=1)
+            # acc + q[0] + q[1] + ...: the nodes are summed in order, as one at a
+            # time; a one-node block (large grids) skips the copy np.sum makes
+            if len(q) == 1:
+                acc += q[0]
+            else:
+                q[0] += acc
+                np.sum(q, axis=0, out=acc)
     acc *= -1j
     return _normalize(grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
 
@@ -320,11 +342,13 @@ def build_ring_jsa(
     return _normalize(grid, _mirror(grid.n_points, s, i, upper), "ring builder")
 
 
-def _filtered(jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float):
+def _filtered(
+    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float, samples: np.ndarray = None
+):
     """The filtered values of a normalized JSA and the fraction of its L2 norm they keep."""
     if not jsa.norm_applied:
         raise InvalidArgumentError("filtering expects a normalized JSA")
-    f = sample_filter(spec, jsa.grid)
+    f = sample_filter(spec, jsa.grid) if samples is None else samples
     filtered = jsa.values * (f[:, None] * f[None, :])
     survival = float(np.vdot(filtered, filtered).real * jsa.measure)
     if survival < min_survival:
@@ -346,12 +370,17 @@ def filter_survival(
 
 
 def apply_filter(
-    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = MIN_SURVIVAL
+    jsa: JointSpectralAmplitude,
+    spec: FilterSpec,
+    min_survival: float = MIN_SURVIVAL,
+    samples: np.ndarray = None,
 ) -> JointSpectralAmplitude:
     """Apply one amplitude filter to both signal and idler and re-normalize.
 
     Raises like ``filter_survival``. Filtering both axes by the same
-    profile keeps a symmetric JSA symmetric.
+    profile keeps a symmetric JSA symmetric. ``samples``, when given, is
+    the filter's transmission on ``jsa.grid`` taken from a grid that
+    contains it, so that the filter edges snap as they do on that grid.
     """
-    filtered, _ = _filtered(jsa, spec, min_survival)
+    filtered, _ = _filtered(jsa, spec, min_survival, samples)
     return _normalize(jsa.grid, filtered, "filtering")

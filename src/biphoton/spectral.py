@@ -116,7 +116,14 @@ def pump_amplitude(line: PumpLine, omega) -> np.ndarray:
     w0 = line.center_omega
     if line.shape == "gaussian":
         sigma = line.linewidth_fwhm * _FWHM_TO_SIGMA
-        prof = np.exp(-((omega - w0) ** 2) / (2.0 * sigma**2)) / (np.pi * sigma**2) ** 0.25
+        # exp(-(omega - w0)^2 / (2 sigma^2)), worked in one array: the
+        # builders pass (nodes x sums) tables, whose temporaries are costly
+        prof = np.atleast_1d(omega - w0)
+        prof *= prof
+        prof /= -2.0 * sigma**2
+        np.exp(prof, out=prof)
+        prof /= (np.pi * sigma**2) ** 0.25
+        prof = prof.reshape(omega.shape)
     else:
         # complex amplitude Lorentzian; |prof| reaches half its peak at
         # +- linewidth_fwhm / 2 and |prof|^2 integrates to 1 over the line

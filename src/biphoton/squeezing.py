@@ -54,13 +54,13 @@ def mean_photon_number(spec: SqueezingSpec) -> float:
 def trigger_probability(spec: SqueezingSpec) -> float:
     """Probability that a threshold detector clicks at least once.
 
-    Per-mode no-click probabilities multiply across independent modes:
-    p = 1 - prod sech(xi) / sqrt(1 - (1 - eta^2)^2 tanh(xi)^2).
+    A mode's no-click probability is 1 / sqrt(1 + eta^2 (2 - eta^2) sinh(xi)^2),
+    and independent modes multiply: p = 1 - exp(-1/2 sum log1p(eta^2 (2 - eta^2)
+    sinh(xi)^2)), which keeps small p and eta = 0 exact where 1 - prod would cancel.
     """
-    xi = spec.mode_xi
-    eta = spec.transmissions
-    no_click = 1.0 / (np.cosh(xi) * np.sqrt(1.0 - (1.0 - eta**2) ** 2 * np.tanh(xi) ** 2))
-    return float(1.0 - np.prod(no_click))
+    eta2 = spec.transmissions**2
+    log_no_click = -0.5 * np.sum(np.log1p(eta2 * (2.0 - eta2) * np.sinh(spec.mode_xi) ** 2))
+    return float(-np.expm1(log_no_click))
 
 
 def lossy_density_diagonal(

@@ -1,0 +1,24 @@
+"""Checks that run alongside every test."""
+import pytest
+import yaml
+
+
+def parse(text, loader):
+    """The data ``loader`` gives for ``text``, or the type of its error."""
+    try:
+        return yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.fixture(autouse=True)
+def yaml_files_parse_alike(request):
+    """Every YAML file a test writes parses the same under libyaml as under pure PyYAML."""
+    if "tmp_path" not in request.fixturenames or not hasattr(yaml, "CSafeLoader"):
+        yield
+        return
+    tmp_path = request.getfixturevalue("tmp_path")
+    yield
+    for path in sorted(tmp_path.rglob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        assert parse(text, yaml.CSafeLoader) == parse(text, yaml.SafeLoader), path.name

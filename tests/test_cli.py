@@ -143,6 +143,13 @@ def test_main_jsi_requires_out(capsys):
     assert main(["jsi", "--scenario", RING]) == 2
 
 
+def test_main_malformed_yaml_exits_two(tmp_path, capsys):
+    path = tmp_path / "malformed.yaml"
+    path.write_text("name: broken\npumps: [{wavelength_nm: 1544.08}\n")
+    assert main(["purity", "--scenario", str(path)]) == 2
+    assert "malformed YAML" in capsys.readouterr().err
+
+
 def test_main_numeric_failure_exits_three(tmp_path, capsys):
     # a filter far outside the grid annihilates the joint spectrum
     path = tmp_path / "bad.yaml"
@@ -284,3 +291,21 @@ def test_main_stats_overflow_exits_three(tmp_path, capsys):
     assert captured.out == ""
     assert "mean_photon_number is not finite" in captured.err
     assert "Warning" not in captured.err
+
+
+def test_main_stats_without_transmission_exits_zero(tmp_path, capsys):
+    path = tmp_path / "dark.yaml"
+    path.write_text(
+        "name: no-transmission\n"
+        "pumps:\n"
+        "  - {wavelength_nm: 1544.08}\n"
+        "  - {wavelength_nm: 1556.18}\n"
+        "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+        "filter: {center_nm: 1550.12, bandwidth_nm: 0.8}\n"
+        "grid: {span_nm: 1.2, points: 61}\n"
+        "squeezing: {xi: 20.0, eta: 0.0}\n"
+    )
+    assert main(["stats", "--scenario", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "mean_photon_number=0" in out
+    assert "trigger_probability=0" in out

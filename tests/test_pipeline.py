@@ -11,8 +11,14 @@ from biphoton.cli import main
 from biphoton.errors import DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
 from biphoton.schmidt import schmidt_decompose
-from biphoton.sources import apply_filter, filter_survival
-from biphoton.spectral import FilterSpec, sample_filter
+from biphoton.sources import (
+    MIN_SURVIVAL,
+    JointSpectralAmplitude,
+    apply_filter,
+    filter_survival,
+    norm2_bound,
+)
+from biphoton.spectral import FilterSpec, FrequencyGrid, omega_to_wavelength, sample_filter
 
 WAVEGUIDE = "sipic1_waveguide_15mm"
 RING = "sipic1_ring"
@@ -162,3 +168,99 @@ def test_purity_survival_is_the_whole_grid_survival():
     unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
     assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
     assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201)[1].purity
+
+
+def embedded_then_filtered(scenario, n_points):
+    """The reference (decision, JSA): the window build embedded in the scenario
+    grid, then filtered on the whole grid with the same certificate and fallback."""
+    grid = scenario.grid(n_points)
+    spec = scenario.filter_spec
+    lo, hi = pipeline._passband_window(grid, spec)
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    try:
+        part = pipeline._source_jsa(scenario, scenario.source, window)
+        values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+        values[lo : hi + 1, lo : hi + 1] = part.values
+        embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
+        bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
+        return "window", apply_filter(embedded, spec, MIN_SURVIVAL * bound / part.norm2_before)
+    except DegenerateInputError:
+        pass
+    try:
+        return "whole grid", apply_filter(pipeline._source_jsa(scenario, scenario.source, grid), spec)
+    except DegenerateInputError:
+        return "exit 3", None
+
+
+def block_filtered(scenario, n_points, monkeypatch):
+    """(decision, JSA) of ``pipeline.build_jsa``, the decision read from its builds."""
+    builds = []
+
+    def spy(scenario, source, grid):
+        builds.append(grid.n_points)
+        return source_jsa(scenario, source, grid)
+
+    source_jsa = pipeline._source_jsa
+    monkeypatch.setattr(pipeline, "_source_jsa", spy)
+    try:
+        out = pipeline.build_jsa(scenario, n_points=n_points)
+    except DegenerateInputError:
+        out = None
+    finally:
+        monkeypatch.undo()
+    if out is None:
+        return "exit 3", None
+    return ("window", "whole grid")[len(builds) - 1], out
+
+
+def assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, expected_decision):
+    decision, out = block_filtered(scenario, n_points, monkeypatch)
+    reference_decision, reference = embedded_then_filtered(scenario, n_points)
+    assert decision == reference_decision == expected_decision
+    if reference is not None:
+        expected = schmidt_decompose(reference).purity
+        assert schmidt_decompose(out).purity == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_points", [201, 401, 801])
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_block_filtering_matches_embedded_filtering(monkeypatch, name, n_points):
+    assert_block_filtering_decides_alike(load_bundled(name), n_points, monkeypatch, "window")
+
+
+@pytest.mark.parametrize("name", [WAVEGUIDE, RING])
+def test_block_filtering_matches_embedded_filtering_with_raised_cosine(monkeypatch, name):
+    scenario = load_bundled(name)
+    spec = dataclasses.replace(scenario.filter_spec, profile="raised_cosine", rolloff=0.5)
+    assert_block_filtering_decides_alike(with_filter(scenario, spec), 201, monkeypatch, "window")
+
+
+@pytest.mark.parametrize(
+    "filter_section, decision", [(FALLBACK_FILTER, "whole grid"), (TAIL_FILTER, "exit 3")]
+)
+def test_block_filtering_keeps_fallback_and_exit_three(tmp_path, monkeypatch, filter_section, decision):
+    scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, filter_section))
+    assert_block_filtering_decides_alike(scenario, None, monkeypatch, decision)
+
+
+@pytest.mark.parametrize(
+    "name, n_points, half_width", [(RING, 401, 13.5), (WAVEGUIDE, 201, 10.5), (WAVEGUIDE, 801, 10.5)]
+)
+def test_block_filtering_with_filter_edges_midway_between_grid_points(
+    monkeypatch, name, n_points, half_width
+):
+    # both edges aimed at the midpoint of two grid points: rounding puts them
+    # on either side, so the window's own points would snap them otherwise
+    scenario = load_bundled(name)
+    grid = scenario.grid(n_points)
+    center = (n_points - 1) // 2
+    lam_lo, lam_hi = (
+        float(omega_to_wavelength(grid.omega_min + (center + sign * half_width) * grid.step))
+        for sign in (1, -1)
+    )
+    spec = FilterSpec((lam_lo + lam_hi) / 2.0, lam_hi - lam_lo)
+    samples = sample_filter(spec, grid)
+    lo, hi = pipeline._passband_window(grid, spec)
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    assert not np.array_equal(sample_filter(spec, window), samples[lo : hi + 1])
+    assert_block_filtering_decides_alike(with_filter(scenario, spec), n_points, monkeypatch, "window")

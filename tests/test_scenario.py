@@ -1,6 +1,10 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+import yaml
 
+from biphoton import scenario
 from biphoton.errors import ConfigError
 from biphoton.scenario import (
     BUNDLED_SCENARIOS,
@@ -122,6 +126,25 @@ def test_load_scenario_from_file(tmp_path):
     sc = load_scenario(path)
     assert sc.name == "file-test"
     assert sc.grid().n_points == 51
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_scenario_parses_alike_under_both_loaders(name):
+    assert scenario._LOADER is yaml.CSafeLoader
+    text = resources.files("biphoton.scenarios").joinpath(f"{name}.yaml").read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert load_bundled(name).raw == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+MALFORMED_YAML = "name: broken\npumps: [{wavelength_nm: 1544.08}\n"
+
+
+def test_malformed_scenario_file(tmp_path):
+    path = tmp_path / "malformed.yaml"
+    path.write_text(MALFORMED_YAML)
+    with pytest.raises(ConfigError, match="malformed YAML"):
+        load_scenario(path)
 
 
 def test_empty_scenario_file(tmp_path):

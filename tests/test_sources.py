@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biphoton.dispersion import DispersionModel
+from biphoton import sources
+from biphoton.dispersion import DispersionModel, k_of_omega
 from biphoton.errors import (
     DegenerateInputError,
     GridMismatchError,
@@ -110,6 +111,42 @@ def test_waveguide_oracle_cases(case, pump_pair, source, n_points):
     fast = build_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
     slow = naive_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
     assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL, case
+
+
+SHORT_GUIDE = WaveguideSource(0.24e-3, DispersionModel(W0, beta2=-2e-24))
+
+
+def series_fraction(pump1, source, grid):
+    """Fraction of (node, ws, wi) kernel entries with |x| below the series cutoff."""
+    nodes, _ = sources._pump_quadrature(pump1, 16, 8.0)
+    w = grid.points()
+    k = lambda omega: k_of_omega(source.dispersion, omega)  # noqa: E731
+    sums = w[:, None] + w[None, :]
+    x = (k(w)[:, None] + k(w)[None, :]) - (k(nodes)[:, None, None] + k(sums - nodes[:, None, None]))
+    return float(np.mean(np.abs(source.length / 2.0 * x) < sources.SINC_SERIES_CUTOFF))
+
+
+@pytest.mark.parametrize(
+    "case, pump_pair, source",
+    [
+        ("gaussian", pumps(), waveguide()),
+        ("lorentzian_pump", lorentzian_pumps(), waveguide()),
+        ("beta3", pumps(), WaveguideSource(0.015, DispersionModel(W0, beta2=-1.5e-20, beta3=4e-33))),
+        ("series_branch", pumps(), SHORT_GUIDE),
+    ],
+)
+def test_waveguide_node_blocks_agree(monkeypatch, case, pump_pair, source):
+    # 31 points: 496 pairs, so the default block holds 66 of the 257 nodes
+    grid = make_grid(1550.12e-9, 4e-9, 31)
+    if case == "series_branch":
+        assert 0.0 < series_fraction(pump_pair[0], source, grid) < 0.1
+    default = build_waveguide_jsa(*pump_pair, source, grid).values
+    scale = np.max(np.abs(default))
+    for entries in (1, 1 << 40):  # one node per block, all nodes in one block
+        monkeypatch.setattr(sources, "_BLOCK_ENTRIES", entries)
+        values = build_waveguide_jsa(*pump_pair, source, grid).values
+        assert np.max(np.abs(values - default)) <= 1e-13 * scale, (case, entries)
+        assert np.array_equal(values, values.T)
 
 
 @pytest.mark.parametrize(

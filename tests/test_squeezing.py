@@ -49,6 +49,21 @@ def test_multimode_energy_splits_across_modes():
     assert mean_photon_number(spec) == pytest.approx(expected, abs=1e-12)
 
 
+def test_zero_transmission_detects_nothing_at_strong_squeezing():
+    # tanh(20)**2 rounds to 1, so a sech / sqrt(1 - tanh^2) form divides by zero here
+    assert trigger_probability(SqueezingSpec(20.0, [1.0], transmissions=[0.0])) == 0.0
+
+
+@pytest.mark.parametrize("xi", [1e-8, 1e-7])
+def test_weak_squeezing_matches_leading_order(xi):
+    # p = 1/2 sum eta^2 (2 - eta^2) xi_k^2 + O(xi^4); 1 - prod cancels here (7e-4 at xi = 1e-6)
+    r = np.array([0.7, 0.2, 0.1])
+    eta = np.array([1.0, 0.6, 0.3])
+    expected = 0.5 * xi**2 * np.sum(r * eta**2 * (2.0 - eta**2))
+    spec = SqueezingSpec(xi, r, transmissions=eta)
+    assert trigger_probability(spec) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_trigger_probability_bounded_and_monotone():
     r = np.full(8, 1 / 8)
     last = 0.0
