@@ -72,7 +72,7 @@ def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) 
 
 def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None, filtered: bool = True) -> str:
     """Write the Schmidt coefficient spectrum as CSV (index, coefficient)."""
-    _, spectrum = pipeline.schmidt_spectrum(scenario, n_points, filtered)
+    spectrum = pipeline.schmidt_spectrum(scenario, n_points, filtered)
     lines = [header_line("schmidt", scenario), "mode_index,coefficient"]
     for idx, r in enumerate(spectrum.significant()):
         lines.append(f"{idx},{fmt(r)}")

@@ -10,7 +10,13 @@ import numpy as np
 from .errors import ConfigError, DegenerateInputError
 from .fringes import corrected_visibility, extract_visibility, fringe_scan
 from .scenario import Scenario, load_bundled
-from .schmidt import jsa_overlap, overlap_from_visibility, schmidt_decompose, visibility_from_overlap
+from .schmidt import (
+    jsa_overlap,
+    overlap_from_visibility,
+    purity,
+    schmidt_decompose,
+    visibility_from_overlap,
+)
 from .sources import (
     MIN_SURVIVAL,
     JointSpectralAmplitude,
@@ -23,7 +29,7 @@ from .sources import (
     jsi,
     norm2_bound,
 )
-from .spectral import FilterSpec, FrequencyGrid, sample_filter
+from .spectral import FrequencyGrid, sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
 
 # Table rows: (label, bundled scenario, observed fringe visibility)
@@ -45,51 +51,60 @@ def _source_jsa(scenario: Scenario, source, grid: FrequencyGrid):
     raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
 
 
-def _passband_window(grid: FrequencyGrid, spec: FilterSpec):
-    """Indices (lo, hi) of the first and last grid point the filter passes, widened to 2 points."""
-    support = np.flatnonzero(sample_filter(spec, grid))
+def _passband_window(samples: np.ndarray):
+    """Indices (lo, hi) of the first and last filter sample that passes, widened to 2 points."""
+    support = np.flatnonzero(samples)
     if support.size == 0:
         raise DegenerateInputError("filter annihilates the joint spectrum (survival 0.000e+00)")
     lo, hi = int(support[0]), int(support[-1])
     if hi == lo:
-        lo, hi = (lo, lo + 1) if lo + 1 < grid.n_points else (lo - 1, lo)
+        lo, hi = (lo, lo + 1) if lo + 1 < samples.size else (lo - 1, lo)
     return lo, hi
 
 
-def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """Build the JSA described by a scenario, behind its filter unless ``filtered`` is false.
+def _windowed_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
+    """(JSA, lo): the normalized JSA on the filter passband, or on the scenario grid (lo None).
 
     A filtered JSA is zero outside the filter passband, so the builder runs
-    on the passband sub-grid only (the same points as the scenario grid),
-    the filter, sampled on the scenario grid, is multiplied into that block
-    and the normalized block is embedded in the scenario grid. Filtering on
-    the whole grid raises when the filter passes less than MIN_SURVIVAL of
-    the norm. The block keeps that rule exactly: its filtered norm over
-    ``norm2_bound`` is a lower bound on the survival, and where that bound
-    cannot clear MIN_SURVIVAL the JSA is built on the whole grid and
-    filtered there.
+    on the passband sub-grid only (the same points as the scenario grid,
+    from index lo) and the filter, sampled once on the scenario grid, is
+    multiplied into that block. Filtering on the whole grid raises when the
+    filter passes less than MIN_SURVIVAL of the norm. The block keeps that
+    rule exactly: its filtered norm over ``norm2_bound`` is a lower bound on
+    the survival, and where that bound cannot clear MIN_SURVIVAL the JSA is
+    built on the whole grid and filtered there.
     """
     source = source or scenario.source
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec if filtered else None
     if spec is None:
-        return _source_jsa(scenario, source, grid)
-    lo, hi = _passband_window(grid, spec)
+        return _source_jsa(scenario, source, grid), None
+    samples = sample_filter(spec, grid)
+    lo, hi = _passband_window(samples)
     start = grid.omega_min + lo * grid.step
     window = FrequencyGrid(start, grid.omega_min + hi * grid.step, hi - lo + 1)
     try:
         part = _source_jsa(scenario, source, window)
         bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-        samples = sample_filter(spec, grid)[lo : hi + 1]
-        block = apply_filter(part, spec, MIN_SURVIVAL * bound / part.norm2_before, samples)
+        min_survival = MIN_SURVIVAL * bound / part.norm2_before
+        return apply_filter(part, spec, min_survival, samples[lo : hi + 1]), lo
     except DegenerateInputError:
         # the window is all zero or cannot certify the survival: the whole grid decides
-        return apply_filter(_source_jsa(scenario, source, grid), spec)
+        return apply_filter(_source_jsa(scenario, source, grid), spec, samples=samples), None
+
+
+def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
+    """The scenario's JSA (``_windowed_jsa``) on the scenario grid, the passband block embedded."""
+    grid = scenario.grid(n_points)
+    block, lo = _windowed_jsa(scenario, source, n_points, filtered)
+    if lo is None:
+        return block
     # the block has unit norm on the window's step, which rounding puts a
     # little off the scenario grid's (5e-11 relative on a 2-point window)
-    scale = window.step / grid.step
+    scale = block.grid.step / grid.step
+    hi = lo + block.grid.n_points
     values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    values[lo : hi + 1, lo : hi + 1] = block.values * scale
+    values[lo:hi, lo:hi] = block.values * scale
     norm2 = block.norm2_before / scale**2
     return JointSpectralAmplitude(grid, values, norm_applied=True, norm2_before=norm2)
 
@@ -115,9 +130,9 @@ def joint_intensity(scenario: Scenario, n_points: int = None, filtered: bool = T
 
 
 def schmidt_spectrum(scenario: Scenario, n_points: int = None, filtered: bool = True):
-    """The scenario's JSA and its Schmidt spectrum."""
-    out = build_jsa(scenario, n_points=n_points, filtered=filtered)
-    return out, schmidt_decompose(out)
+    """The Schmidt spectrum of the scenario's JSA, decomposed on the filter passband."""
+    block, _ = _windowed_jsa(scenario, n_points=n_points, filtered=filtered)
+    return schmidt_decompose(block)
 
 
 def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
@@ -132,7 +147,7 @@ def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
         survival = filter_survival(
             build_jsa(scenario, n_points=n_points, filtered=False), scenario.filter_spec
         )
-    _, spectrum = schmidt_spectrum(scenario, n_points, filtered)
+    spectrum = schmidt_spectrum(scenario, n_points, filtered)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 
 
@@ -158,7 +173,7 @@ def fringe_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
 
 def stats_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
     """Squeezed-state statistics from the scenario's Schmidt spectrum."""
-    _, spectrum = schmidt_spectrum(scenario, n_points, filtered)
+    spectrum = schmidt_spectrum(scenario, n_points, filtered)
     settings = scenario.squeezing
     spec = SqueezingSpec(settings.xi, spectrum.coefficients, transmissions=settings.eta)
     # strong squeezing overflows sinh and cosh: a typed error, not a warning and an inf
@@ -177,11 +192,12 @@ def stats_report(scenario: Scenario, n_points: int = None, filtered: bool = True
 def table1(n_points: int = None) -> list:
     """(label, observed visibility, simulated purity, overlap) per TABLE1_ROWS entry.
 
-    Simulated purity comes from the filtered JSA; the overlap column is
+    Simulated purity is Tr rho^2 of the filtered JSA on its passband
+    (``schmidt.purity``, no Schmidt spectrum); the overlap column is
     deduced from the observed visibility via N = V/(2-V).
     """
     rows = []
     for label, name, observed_v in TABLE1_ROWS:
-        _, spectrum = schmidt_spectrum(load_bundled(name), n_points)
-        rows.append((label, observed_v, spectrum.purity, overlap_from_visibility(observed_v)))
+        block, _ = _windowed_jsa(load_bundled(name), n_points=n_points)
+        rows.append((label, observed_v, purity(block), overlap_from_visibility(observed_v)))
     return rows

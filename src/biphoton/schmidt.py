@@ -1,12 +1,13 @@
 """Schmidt decomposition, spectral purity, and pairwise JSA overlap."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
-from .sources import JointSpectralAmplitude
+from .sources import SERIAL_GEMM, JointSpectralAmplitude, sum_abs2
 
 NORM_TOL = 1e-6
 TAIL_REL_TOL = 1e-12
@@ -48,19 +49,19 @@ class OverlapResult:
 
 
 def _passband(jsa: JointSpectralAmplitude) -> np.ndarray:
-    """The measure-weighted JSA over the rows and columns holding a non-zero entry.
+    """The JSA values over the rows and columns holding a non-zero entry.
 
     A filtered JSA is exactly zero outside the filter passband, and zero
-    rows and columns add only zero singular values, so the SVD of this
-    block has the same non-zero spectrum as the full matrix. An unfiltered
-    JSA keeps every row and column.
+    rows and columns add only zero singular values, so this block has the
+    same non-zero Schmidt spectrum as the full matrix. An unfiltered JSA
+    keeps every row and column (and is not copied).
     """
     rows = np.flatnonzero(np.any(jsa.values, axis=1))
     cols = np.flatnonzero(np.any(jsa.values, axis=0))
     block = jsa.values
     if rows.size < block.shape[0] or cols.size < block.shape[1]:
         block = block[np.ix_(rows, cols)]
-    return block * np.sqrt(jsa.measure)
+    return block
 
 
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
@@ -71,13 +72,36 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
     min(rows, cols) of them.
     """
     _require_normalized(jsa)
-    s = np.linalg.svd(_passband(jsa), compute_uv=False)
+    s = np.linalg.svd(_passband(jsa) * np.sqrt(jsa.measure), compute_uv=False)
     return SchmidtSpectrum(coefficients=s**2)
 
 
 def purity(jsa: JointSpectralAmplitude) -> float:
-    """Heralded-photon spectral purity of a normalized JSA (``SchmidtSpectrum.purity``)."""
-    return schmidt_decompose(jsa).purity
+    """Heralded-photon spectral purity Tr rho^2 = ||B^H B||_F^2 of a normalized JSA, no SVD.
+
+    B is F * step over the non-zero block (``_passband``). B^H B is formed
+    in t x t tiles with t^2 * rows <= SERIAL_GEMM, so that BLAS keeps each
+    product on the calling thread, and, B^H B being Hermitian, only on and
+    above its diagonal. This equals ``SchmidtSpectrum.purity`` to rounding, about
+    1e-15 relative.
+    """
+    _require_normalized(jsa)
+    block = _passband(jsa)
+    rows, cols = block.shape
+    # a multiple of 4 columns suits OpenBLAS's complex kernels: 12 runs about
+    # a quarter faster than 15 on a 267-row passband
+    t = max(1, min(cols, 4 * (math.isqrt(SERIAL_GEMM // rows) // 4)))
+    n = -(-cols // t)
+    # zero columns pad B to n tiles; they add nothing to B^H B
+    padded = np.zeros((rows, n * t), dtype=complex)
+    padded[:, :cols] = block
+    tiles = padded.reshape(rows, n, t).transpose(1, 0, 2)
+    adjoint = tiles.conj().transpose(0, 2, 1)
+    total = 0.0
+    for j in range(n):
+        gram = adjoint[j] @ tiles[j:]  # the tiles (j, j), (j, j + 1), ... of B^H B
+        total += sum_abs2(gram[0]) + 2.0 * sum_abs2(gram[1:])
+    return total * jsa.measure**2
 
 
 def jsa_overlap(jsa1: JointSpectralAmplitude, jsa2: JointSpectralAmplitude) -> OverlapResult:

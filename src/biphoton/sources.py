@@ -41,6 +41,21 @@ SINC_SERIES_CUTOFF = 1e-4
 _BLOCK_ENTRIES = 1 << 15  # bounds the entries of one block of pump nodes x pairs
 # a filter passing less than this fraction of the L2 norm annihilates the spectrum
 MIN_SURVIVAL = 1e-12
+# OpenBLAS runs a dot product of at most SERIAL_DOT entries, a matrix-vector
+# product of at most SERIAL_GEMV entries and a matrix product with m*n*k <=
+# SERIAL_GEMM on the calling thread. A larger call wakes its worker threads,
+# which spin for about 0.1 s after it and stall the caller when they share a
+# core, so the norms and products here are taken in pieces of these sizes.
+SERIAL_DOT = 10000
+SERIAL_GEMV = 4095
+SERIAL_GEMM = 1 << 16
+
+
+def sum_abs2(values: np.ndarray) -> float:
+    """Sum of |v|^2 over every entry, as dot products of at most SERIAL_DOT entries."""
+    flat = values.reshape(-1)
+    runs = (flat[k : k + SERIAL_DOT] for k in range(0, flat.size, SERIAL_DOT))
+    return float(sum(np.vdot(run, run).real for run in runs))
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,7 @@ class JointSpectralAmplitude:
         return self.grid.step * self.grid.step
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.values, self.values).real * self.measure)
+        return sum_abs2(self.values) * self.measure
 
 
 def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
@@ -172,7 +187,7 @@ def _pump_quadrature(line: PumpLine, points_per_fwhm: int, halfwidth_fwhms: floa
 
 def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSpectralAmplitude:
     """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
-    norm2 = np.vdot(values, values).real * grid.step * grid.step
+    norm2 = sum_abs2(values) * grid.step * grid.step
     if not np.isfinite(norm2):
         raise DegenerateInputError(f"{context} produced non-finite values")
     if norm2 < 1e-300:
@@ -334,7 +349,10 @@ def build_ring_jsa(
             )
     nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
     product *= res_p2.amplitude(sums[None, :] - nodes[:, None])
-    h = res_p1.amplitude(nodes) @ product
+    # h = l_p1(nodes) @ product, a few sums at a time to stay within SERIAL_GEMV
+    lor_p1 = res_p1.amplitude(nodes)
+    cols = max(1, SERIAL_GEMV // nodes.size)
+    h = np.concatenate([lor_p1 @ product[:, k : k + cols] for k in range(0, sums.size, cols)])
     lor = res_s.amplitude(grid.points())
     s, i = np.triu_indices(grid.n_points)
     upper = lor[s] * lor[i]
@@ -350,7 +368,7 @@ def _filtered(
         raise InvalidArgumentError("filtering expects a normalized JSA")
     f = sample_filter(spec, jsa.grid) if samples is None else samples
     filtered = jsa.values * (f[:, None] * f[None, :])
-    survival = float(np.vdot(filtered, filtered).real * jsa.measure)
+    survival = sum_abs2(filtered) * jsa.measure
     if survival < min_survival:
         raise DegenerateInputError(
             f"filter annihilates the joint spectrum (survival {survival:.3e})"

@@ -10,7 +10,7 @@ from biphoton import pipeline
 from biphoton.cli import main
 from biphoton.errors import DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
-from biphoton.schmidt import schmidt_decompose
+from biphoton.schmidt import purity, schmidt_decompose
 from biphoton.sources import (
     MIN_SURVIVAL,
     JointSpectralAmplitude,
@@ -105,7 +105,8 @@ def test_one_point_passband_at_grid_end(index, window):
     # the window widens to 2 points inside the grid; this far from the
     # energy-conservation line both builds find survival below 1e-12
     scenario = one_point_filter(load_bundled(RING), index, 201)
-    assert pipeline._passband_window(scenario.grid(201), scenario.filter_spec) == window
+    samples = sample_filter(scenario.filter_spec, scenario.grid(201))
+    assert pipeline._passband_window(samples) == window
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
         whole_grid(scenario, 201)
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
@@ -167,7 +168,7 @@ def test_purity_survival_is_the_whole_grid_survival():
     report = pipeline.purity_report(scenario, 201)
     unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
     assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
-    assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201)[1].purity
+    assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
 
 
 def embedded_then_filtered(scenario, n_points):
@@ -175,7 +176,7 @@ def embedded_then_filtered(scenario, n_points):
     grid, then filtered on the whole grid with the same certificate and fallback."""
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec
-    lo, hi = pipeline._passband_window(grid, spec)
+    lo, hi = pipeline._passband_window(sample_filter(spec, grid))
     window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
     try:
         part = pipeline._source_jsa(scenario, scenario.source, window)
@@ -260,7 +261,39 @@ def test_block_filtering_with_filter_edges_midway_between_grid_points(
     )
     spec = FilterSpec((lam_lo + lam_hi) / 2.0, lam_hi - lam_lo)
     samples = sample_filter(spec, grid)
-    lo, hi = pipeline._passband_window(grid, spec)
+    lo, hi = pipeline._passband_window(samples)
     window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
     assert not np.array_equal(sample_filter(spec, window), samples[lo : hi + 1])
     assert_block_filtering_decides_alike(with_filter(scenario, spec), n_points, monkeypatch, "window")
+
+
+def assert_purities_agree(scenario, n_points, table1_purity=None):
+    """purity_report, the Schmidt spectrum's sum of r^2 and Tr rho^2 of the
+    embedded JSA agree; so does table1's purity, where given."""
+    expected = pipeline.schmidt_spectrum(scenario, n_points).purity
+    others = [pipeline.purity_report(scenario, n_points)["purity"]]
+    others.append(purity(pipeline.build_jsa(scenario, n_points=n_points)))
+    if table1_purity is not None:
+        others.append(table1_purity)
+    assert others == pytest.approx([expected] * len(others), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n_points", [201, 401, 801])
+def test_table1_purity_matches_schmidt_spectrum(n_points):
+    rows = pipeline.table1(n_points)
+    for (_, name, _), (_, _, table1_purity, _) in zip(pipeline.TABLE1_ROWS, rows):
+        assert_purities_agree(load_bundled(name), n_points, table1_purity)
+
+
+def test_purities_agree_on_whole_grid_fallback(tmp_path):
+    scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
+    block, lo = pipeline._windowed_jsa(scenario)
+    assert lo is None and block.grid == scenario.grid()
+    assert_purities_agree(scenario, None)
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_stats_mode_count_matches_embedded_spectrum(name):
+    scenario = load_bundled(name)
+    embedded = schmidt_decompose(pipeline.build_jsa(scenario))
+    assert pipeline.stats_report(scenario)["n_modes"] == embedded.significant().size

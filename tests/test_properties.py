@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton.dispersion import DispersionModel
-from biphoton.schmidt import jsa_overlap, purity
+from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
 from biphoton.sources import (
     RingSource,
     WaveguideSource,
@@ -86,3 +86,20 @@ def test_waveguide_builder_properties(pump_pair, source, n_points, phase):
 @given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80), phase=phases)
 def test_ring_builder_properties(pump_pair, source, n_points, phase):
     check_properties(build_ring, pump_pair, source, n_points, phase)
+
+
+def check_purity_without_svd(out):
+    for jsa in (out, apply_filter(out, BAND)):
+        assert purity(jsa) == pytest.approx(schmidt_decompose(jsa).purity, rel=1e-12, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(pump_pair=pump_pairs, source=waveguides, n_points=st.integers(30, 64))
+def test_waveguide_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
+    check_purity_without_svd(build_waveguide(pump_pair, source, n_points))
+
+
+@PROPERTY_SETTINGS
+@given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80))
+def test_ring_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
+    check_purity_without_svd(build_ring(pump_pair, source, n_points))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from biphoton import schmidt
 from biphoton.errors import GridMismatchError, InvalidArgumentError
 from biphoton.schmidt import (
     jsa_overlap,
@@ -63,10 +64,32 @@ def test_purity_requires_normalized_jsa():
 
 def test_schmidt_coefficients_give_purity():
     out = gaussian_jsa(n=31, correlation=0.6)
-    r = schmidt_decompose(out).coefficients
-    assert np.sum(r**2) == purity(out)
+    spectrum = schmidt_decompose(out)
+    r = spectrum.coefficients
+    assert np.sum(r**2) == spectrum.purity
+    # purity() is Tr rho^2 from the Gram matrix, no SVD: equal to rounding
+    assert purity(out) == pytest.approx(spectrum.purity, rel=1e-13, abs=0.0)
     expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
     assert purity(out) == pytest.approx(expected, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "gemm, shape",
+    [
+        (1, (41, 41)),  # one column per tile
+        (41 * 8 * 8, (41, 41)),  # 8-column tiles, the last padded by 7 zero columns
+        (1 << 40, (41, 41)),  # the whole Gram matrix in one tile
+        (41 * 12 * 12, (41, 40)),  # a passband one column narrower than it is tall
+    ],
+)
+def test_purity_gram_tiles_agree_with_svd(monkeypatch, gemm, shape):
+    values = gaussian_jsa(correlation=0.8).values.copy()
+    values[:, shape[1] :] = 0.0
+    jsa = jsa_from_values(values)
+    expected = schmidt_decompose(jsa).purity
+    monkeypatch.setattr(schmidt, "SERIAL_GEMM", gemm)
+    assert schmidt._passband(jsa).shape == shape
+    assert purity(jsa) == pytest.approx(expected, rel=1e-13)
 
 
 def test_schmidt_significant_truncation():

@@ -165,6 +165,29 @@ def test_ring_oracle_cases(case, pump_pair, source, n_points):
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL, case
 
 
+def test_ring_pump_sum_blocks_agree(monkeypatch):
+    grid = make_grid(1550.12e-9, 0.8e-9, 41)
+    default = build_ring_jsa(*pumps(), ring(), grid).values
+    scale = np.max(np.abs(default))
+    for entries in (1, 1 << 40):  # one sum per product, every sum in one product
+        monkeypatch.setattr(sources, "SERIAL_GEMV", entries)
+        values = build_ring_jsa(*pumps(), ring(), grid).values
+        assert np.max(np.abs(values - default)) <= 1e-13 * scale, entries
+
+
+@pytest.mark.parametrize("size", [1, 54 * 54, sources.SERIAL_DOT, sources.SERIAL_DOT + 1, 401 * 401])
+def test_sum_abs2_in_runs(size):
+    rng = np.random.default_rng(size)
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    total = sources.sum_abs2(values)
+    if size <= sources.SERIAL_DOT:
+        # one run: the plain dot product, bit for bit
+        assert total == np.vdot(values, values).real
+    assert total == pytest.approx(np.sum(np.abs(values) ** 2), rel=1e-13)
+    if size == 401 * 401:
+        assert sources.sum_abs2(values.reshape(401, 401)) == total
+
+
 def test_ring_resonance_comb_placement():
     r = ring()
     assert r.resonance("pump1").center_wavelength == pytest.approx(1550.12e-9 - 2 * 3.025e-9)
