@@ -100,6 +100,8 @@ class PumpLine:
             raise InvalidArgumentError(f"linewidth_fwhm must be > 0, got {self.linewidth_fwhm}")
         if self.shape not in ("gaussian", "lorentzian"):
             raise InvalidArgumentError(f"unknown pump shape {self.shape!r}")
+        # a real amplitude would make pump_amplitude return a float array
+        object.__setattr__(self, "relative_amplitude", complex(self.relative_amplitude))
 
     @property
     def center_omega(self) -> float:

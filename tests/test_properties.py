@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biphoton import sources
 from biphoton.dispersion import DispersionModel
 from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
 from biphoton.sources import (
@@ -15,7 +16,14 @@ from biphoton.sources import (
     build_ring_jsa,
     build_waveguide_jsa,
 )
-from biphoton.spectral import FilterSpec, PumpLine, make_grid, wavelength_to_omega
+from biphoton.spectral import (
+    FilterSpec,
+    PumpLine,
+    make_grid,
+    omega_to_wavelength,
+    pump_amplitude,
+    wavelength_to_omega,
+)
 
 W0 = float(wavelength_to_omega(1550.12e-9))
 GHZ = 2 * np.pi * 1e9
@@ -103,3 +111,32 @@ def test_waveguide_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
 @given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80))
 def test_ring_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
     check_purity_without_svd(build_ring(pump_pair, source, n_points))
+
+
+shapes = st.sampled_from(["gaussian", "lorentzian"])
+
+
+@PROPERTY_SETTINGS
+@given(
+    pump1_nm=st.floats(1540.0, 1560.0),
+    linewidths_ghz=st.tuples(st.floats(10.0, 200.0), st.floats(10.0, 200.0)),
+    shape_pair=st.tuples(shapes, shapes),
+    detune_ghz=st.floats(-2000.0, 2000.0),
+    span_nm=st.floats(0.1, 10.0),
+    n_points=st.integers(2, 120),
+)
+def test_node_peaks_bound_the_pump_product(
+    pump1_nm, linewidths_ghz, shape_pair, detune_ghz, span_nm, n_points
+):
+    # pump 2 sits detune_ghz from energy conservation about the grid centre, so
+    # the pump-2 line falls inside the sums' range as well as beyond either end
+    pump1 = PumpLine(pump1_nm * 1e-9, linewidths_ghz[0] * GHZ, shape_pair[0])
+    omega2 = 2.0 * W0 - pump1.center_omega + detune_ghz * GHZ
+    pump2 = PumpLine(float(omega_to_wavelength(omega2)), linewidths_ghz[1] * GHZ, shape_pair[1])
+    grid = make_grid(CENTER, span_nm * 1e-9, n_points)
+    nodes, weights = sources._pump_quadrature(pump1, 16, 8.0)
+    sums = 2.0 * grid.omega_min + np.arange(2 * n_points - 1) * grid.step
+    a = weights * pump_amplitude(pump1, nodes)
+    largest = np.abs(a[:, None] * pump_amplitude(pump2, sums[None, :] - nodes[:, None])).max(axis=1)
+    # a few ulps for |a * b| against |a| * |b|, and an absolute 1e-300 where they are subnormal
+    assert np.all(sources._node_peaks(a, pump2, nodes, sums) >= largest * (1.0 - 1e-15) - 1e-300)

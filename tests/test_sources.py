@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from biphoton import sources
+from biphoton import pipeline, sources
 from biphoton.dispersion import DispersionModel, k_of_omega
 from biphoton.errors import (
     DegenerateInputError,
@@ -23,7 +23,15 @@ from biphoton.sources import (
     jsi,
 )
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled
-from biphoton.spectral import FilterSpec, FrequencyGrid, PumpLine, make_grid, wavelength_to_omega
+from biphoton.spectral import (
+    FilterSpec,
+    FrequencyGrid,
+    PumpLine,
+    make_grid,
+    pump_amplitude,
+    sample_filter,
+    wavelength_to_omega,
+)
 
 from oracles import naive_ring_jsa, naive_waveguide_jsa
 
@@ -173,6 +181,87 @@ def test_ring_pump_sum_blocks_agree(monkeypatch):
         monkeypatch.setattr(sources, "SERIAL_GEMV", entries)
         values = build_ring_jsa(*pumps(), ring(), grid).values
         assert np.max(np.abs(values - default)) <= 1e-13 * scale, entries
+
+
+def all_node_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms):
+    """``sources._pump_product`` on every quadrature node, none dropped."""
+    nodes, weights = sources._pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
+    sums = 2.0 * grid.omega_min + np.arange(2 * grid.n_points - 1) * grid.step
+    product = pump_amplitude(pump2, sums[None, :] - nodes[:, None])
+    product *= (weights * pump_amplitude(pump1, nodes))[:, None]
+    return nodes, sums, product
+
+
+BETA3_GUIDE = WaveguideSource(0.015, DispersionModel(W0, beta2=-1.5e-20, beta3=4e-33))
+SERIES_GUIDE = WaveguideSource(1e-6, DispersionModel(W0, beta2=-2e-24))
+
+
+@pytest.mark.parametrize(
+    "case, build, naive, tol, source, span, n_points",
+    [
+        ("beta3", build_waveguide_jsa, naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, BETA3_GUIDE, 4e-9, 16),
+        ("series_branch", build_waveguide_jsa, naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, SERIES_GUIDE, 4e-9, 16),
+        ("ring", build_ring_jsa, naive_ring_jsa, RING_ORACLE_TOL, ring(), 0.8e-9, 21),
+    ],
+)
+def test_node_trim_matches_every_node_at_default_quadrature(
+    monkeypatch, case, build, naive, tol, source, span, n_points
+):
+    # 16 nodes per FWHM over +-8 FWHM: 257 nodes, of which these Gaussian pumps keep 106-125
+    grid = make_grid(1550.12e-9, span, n_points)
+    fast = build(*pumps(), source, grid)
+    assert sources._pump_product(*pumps(), grid, 16, 8.0)[0].size <= 125, case
+    assert oracle_error(fast, naive(*pumps(), source, grid)) <= tol, case
+    # the same kernel on all 257 nodes: the dropped ones are below the rounding
+    monkeypatch.setattr(sources, "_pump_product", all_node_product)
+    every = build(*pumps(), source, grid).values
+    assert np.max(np.abs(fast.values - every)) <= 1e-13 * np.max(np.abs(every)), case
+
+
+def test_lorentzian_pumps_keep_every_node():
+    nodes, _, _ = sources._pump_product(*lorentzian_pumps(), make_grid(1550.12e-9, 4e-9, 54), 16, 8.0)
+    assert nodes.size == 257
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_bundled_passbands_keep_106_to_107_nodes(name):
+    sc = load_bundled(name)
+    grid = sc.grid()
+    lo, hi = pipeline._passband_window(sample_filter(sc.filter_spec, grid))
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    nodes, sums, product = sources._pump_product(*sc.pumps, window, 16, 8.0)
+    assert 106 <= nodes.size <= 107
+    every = all_node_product(*sc.pumps, window, 16, 8.0)
+    start = int(np.flatnonzero(every[0] == nodes[0])[0])
+    # the kept rows are the all-node rows, bit for bit
+    assert np.array_equal(product, every[2][start : start + nodes.size])
+
+
+def test_real_relative_amplitude_builds():
+    p1, p2 = pumps()
+    half = replace(p2, relative_amplitude=0.5)
+    cases = (
+        (build_waveguide_jsa, waveguide(), make_grid(1550.12e-9, 4e-9, 31)),
+        (build_ring_jsa, ring(), make_grid(1550.12e-9, 1.2e-9, 41)),
+    )
+    for build, source, grid in cases:
+        reference = build(p1, p2, source, grid).values
+        # the overall scale drops out of the normalized JSA
+        values = build(p1, half, source, grid).values
+        assert np.max(np.abs(values - reference)) <= 1e-14 * np.max(np.abs(reference))
+    assert isinstance(half.relative_amplitude, complex)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("which", [0, 1])
+def test_nan_pump_center_is_degenerate(which):
+    # a NaN bound keeps every node, so the builders' non-finite check still fires
+    lines = list(pumps())
+    lines[which] = replace(lines[which], center_wavelength=float("nan"))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        build_waveguide_jsa(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 41))
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        build_ring_jsa(*lines, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 @pytest.mark.parametrize("size", [1, 54 * 54, sources.SERIAL_DOT, sources.SERIAL_DOT + 1, 401 * 401])
