@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -48,21 +49,26 @@ def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None, filtered: b
         f"# nx={n} ny={n} lambda_s_nm_max={lam_max} lambda_s_nm_min={lam_min} "
         f"lambda_i_nm_max={lam_max} lambda_i_nm_min={lam_min}"
     )
-    for row in intensity:
-        lines.append(",".join(fmt(v) for v in row))
-    _write(out_path, lines)
+    _write(out_path, lines + _csv_rows(intensity))
     return out_path
 
 
+def _csv_rows(values: np.ndarray) -> list:
+    """The rows of a float64 matrix as ``fmt`` CSV lines, formatting each distinct value once."""
+    # distinct bit patterns, not values: -0.0 and 0.0 print differently
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = np.array([fmt(v) for v in bits.view(np.float64)], dtype=object)
+    return [",".join(row) for row in text[inverse.reshape(values.shape)]]
+
+
 def read_jsi(path: str) -> np.ndarray:
-    """Read back a JSI grid written by cmd_jsi."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.strip().split(",")])
-    return np.array(rows)
+    """Read back a JSI grid written by cmd_jsi; a malformed file raises ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy only warns on a file without data rows
+            return np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
+        raise ConfigError(f"cannot read JSI file {path}: {exc}") from exc
 
 
 def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
@@ -122,8 +128,11 @@ def cmd_table1(fmt_kind: str = "txt", n_points: int = None) -> str:
 
 
 def _write(path: str, lines):
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _resolve_scenario(ref: str) -> Scenario:

@@ -30,7 +30,8 @@ class CoverageError(BiphotonError):
 
 
 class ConfigError(BiphotonError):
-    """A scenario file is missing, malformed, or has invalid keys."""
+    """Bad configuration: invalid scenario keys or values, a bad flag, or an input
+    or output file that is missing, unreadable, unwritable or malformed."""
 
 
 class RingDetuningWarning(UserWarning):

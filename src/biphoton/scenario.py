@@ -286,7 +286,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = yaml.load(handle, Loader=_LOADER)
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc

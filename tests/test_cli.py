@@ -309,3 +309,24 @@ def test_main_stats_without_transmission_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mean_photon_number=0" in out
     assert "trigger_probability=0" in out
+
+
+@pytest.mark.parametrize("verb", ["jsi", "schmidt", "fringe"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_main_unwritable_out_exits_two(tmp_path, capsys, verb, target):
+    out = tmp_path / "missing" / "x.csv" if target == "missing_dir" else tmp_path
+    argv = [verb, "--scenario", RING, "--grid-points", str(N_SMALL), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: cannot write {out}" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+def test_main_unreadable_scenario_exits_two(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "non_utf8":
+        path = tmp_path / "latin1.txt"  # not *.yaml: conftest reads those as UTF-8
+        path.write_bytes("name: café\n".encode("latin-1"))
+    assert main(["purity", "--scenario", str(path)]) == 2
+    assert "cannot read scenario file" in capsys.readouterr().err

@@ -228,3 +228,14 @@ def test_domain_constructor_errors_are_config_errors(extra, message):
     with pytest.raises(ConfigError, match=message):
         scenario_from_dict(minimal_dict(**extra))
 
+
+def test_scenario_path_that_is_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read scenario file"):
+        load_scenario(tmp_path)
+
+
+def test_scenario_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"  # not *.yaml: conftest reads those as UTF-8
+    path.write_bytes("name: café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot read scenario file"):
+        load_scenario(path)
