@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import warnings
 
@@ -62,13 +63,40 @@ def _csv_rows(values: np.ndarray) -> list:
 
 
 def read_jsi(path: str) -> np.ndarray:
-    """Read back a JSI grid written by cmd_jsi; a malformed file raises ConfigError."""
+    """Read back a JSI grid written by cmd_jsi; a malformed file raises ConfigError.
+
+    A ``# nx=.. ny=..`` header line, where the file has one, fixes the data
+    shape to nx rows of ny values, so a cut-off file does not pass for a
+    smaller grid.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle, warnings.catch_warnings():
+            shape = _declared_shape(handle)
             warnings.simplefilter("error", UserWarning)  # numpy only warns on a file without data rows
-            return np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
+            values = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
     except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read JSI file {path}: {exc}") from exc
+    if shape is not None and values.shape != shape:
+        raise ConfigError(
+            f"cannot read JSI file {path}: header declares nx={shape[0]} ny={shape[1]}, "
+            f"data is {values.shape[0]} x {values.shape[1]}"
+        )
+    return values
+
+
+def _declared_shape(handle):
+    """(nx, ny) from the ``# nx=.. ny=..`` line of the leading comments, or None;
+    ``handle`` is rewound to the start."""
+    shape = None
+    for line in iter(handle.readline, ""):
+        if not line.startswith("#"):
+            break
+        declared = re.search(r"\bnx=(\d+) ny=(\d+)\b", line)
+        if declared:
+            shape = int(declared[1]), int(declared[2])
+            break
+    handle.seek(0)
+    return shape
 
 
 def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:

@@ -28,6 +28,7 @@ from .sources import (
     filter_survival,
     jsi,
     norm2_bound,
+    ring_filter_survival,
 )
 from .spectral import FrequencyGrid, sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
@@ -139,14 +140,17 @@ def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
     """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
 
     Survival is the fraction of the unfiltered JSA's norm, over the whole
-    grid, that the filter passes. Its unfiltered build runs first and is
-    released before the filtered one, so the two are never held together.
+    grid, that the filter passes. A ring's survival comes from the factors
+    of its JSA (``ring_filter_survival``), with no whole-grid build; a
+    waveguide's unfiltered JSA is built on the whole grid and released
+    before the filtered one, so the two are never held together.
     """
     survival = 1.0
-    if filtered and scenario.filter_spec is not None:
-        survival = filter_survival(
-            build_jsa(scenario, n_points=n_points, filtered=False), scenario.filter_spec
-        )
+    spec = scenario.filter_spec if filtered else None
+    if spec is not None and isinstance(scenario.source, RingSource):
+        survival = ring_filter_survival(*scenario.pumps, scenario.source, scenario.grid(n_points), spec)
+    elif spec is not None:
+        survival = filter_survival(build_jsa(scenario, n_points=n_points, filtered=False), spec)
     spectrum = schmidt_spectrum(scenario, n_points, filtered)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 

@@ -185,13 +185,18 @@ def _pump_quadrature(line: PumpLine, points_per_fwhm: int, halfwidth_fwhms: floa
     return nodes, weights
 
 
-def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSpectralAmplitude:
-    """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
-    norm2 = sum_abs2(values) * grid.step * grid.step
+def _require_norm2(norm2: float, context: str) -> float:
+    """``norm2``, the L2 norm squared of a joint spectrum, if it is finite and not zero."""
     if not np.isfinite(norm2):
         raise DegenerateInputError(f"{context} produced non-finite values")
     if norm2 < 1e-300:
         raise DegenerateInputError(f"{context} produced an all-zero joint spectrum")
+    return norm2
+
+
+def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSpectralAmplitude:
+    """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
+    norm2 = _require_norm2(sum_abs2(values) * grid.step * grid.step, context)
     values /= np.sqrt(norm2)
     return JointSpectralAmplitude(grid=grid, values=values, norm_applied=True, norm2_before=norm2)
 
@@ -334,7 +339,7 @@ def build_waveguide_jsa(
     return _normalize(grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
 
 
-def build_ring_jsa(
+def _ring_factors(
     pump1: PumpLine,
     pump2: PumpLine,
     ring: RingSource,
@@ -342,14 +347,9 @@ def build_ring_jsa(
     points_per_fwhm: int = DEFAULT_POINTS_PER_FWHM,
     halfwidth_fwhms: float = DEFAULT_HALFWIDTH_FWHMS,
     detune_warn_linewidths: float = 10.0,
-) -> JointSpectralAmplitude:
-    """Unit-normalized JSA of a microring source.
-
-    F(ws, wi) = h(ws + wi) * l(ws) * l(wi): the pump convolution h, weighted
-    by the two pump-resonance Lorentzians, depends only on the sum
-    frequency, and signal and idler pick up the degenerate-resonance
-    Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
-    """
+):
+    """(h, l): the ring JSA's pump sum on the grid's 2N-1 signal+idler sums
+    and the signal/idler resonance Lorentzian on the grid points."""
     res_s = ring.resonance("signal")
     res_p1 = ring.resonance("pump1")
     res_p2 = ring.resonance("pump2")
@@ -369,11 +369,41 @@ def build_ring_jsa(
     lor_p1 = res_p1.amplitude(nodes)
     cols = max(1, SERIAL_GEMV // nodes.size)
     h = np.concatenate([lor_p1 @ product[:, k : k + cols] for k in range(0, sums.size, cols)])
-    lor = res_s.amplitude(grid.points())
+    return h, res_s.amplitude(grid.points())
+
+
+def build_ring_jsa(
+    pump1: PumpLine,
+    pump2: PumpLine,
+    ring: RingSource,
+    grid: FrequencyGrid,
+    points_per_fwhm: int = DEFAULT_POINTS_PER_FWHM,
+    halfwidth_fwhms: float = DEFAULT_HALFWIDTH_FWHMS,
+    detune_warn_linewidths: float = 10.0,
+) -> JointSpectralAmplitude:
+    """Unit-normalized JSA of a microring source.
+
+    F(ws, wi) = h(ws + wi) * l(ws) * l(wi): the pump convolution h, weighted
+    by the two pump-resonance Lorentzians, depends only on the sum
+    frequency, and signal and idler pick up the degenerate-resonance
+    Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
+    """
+    h, lor = _ring_factors(
+        pump1, pump2, ring, grid, points_per_fwhm, halfwidth_fwhms, detune_warn_linewidths
+    )
     s, i = np.triu_indices(grid.n_points)
     upper = lor[s] * lor[i]
     upper *= h[s + i]
     return _normalize(grid, _mirror(grid.n_points, s, i, upper), "ring builder")
+
+
+def _require_survival(survival: float, min_survival: float) -> float:
+    """``survival`` if the filter passes at least ``min_survival`` of the norm."""
+    if survival < min_survival:
+        raise DegenerateInputError(
+            f"filter annihilates the joint spectrum (survival {survival:.3e})"
+        )
+    return survival
 
 
 def _filtered(
@@ -384,12 +414,7 @@ def _filtered(
         raise InvalidArgumentError("filtering expects a normalized JSA")
     f = sample_filter(spec, jsa.grid) if samples is None else samples
     filtered = jsa.values * (f[:, None] * f[None, :])
-    survival = sum_abs2(filtered) * jsa.measure
-    if survival < min_survival:
-        raise DegenerateInputError(
-            f"filter annihilates the joint spectrum (survival {survival:.3e})"
-        )
-    return filtered, survival
+    return filtered, _require_survival(sum_abs2(filtered) * jsa.measure, min_survival)
 
 
 def filter_survival(
@@ -401,6 +426,29 @@ def filter_survival(
     filter annihilates the spectrum and a DegenerateInputError is raised.
     """
     return _filtered(jsa, spec, min_survival)[1]
+
+
+def ring_filter_survival(
+    pump1: PumpLine,
+    pump2: PumpLine,
+    ring: RingSource,
+    grid: FrequencyGrid,
+    spec: FilterSpec,
+) -> float:
+    """``filter_survival`` of the ring's whole-grid JSA, without building it.
+
+    |F[s, i]|^2 = |h[s + i]|^2 * q[s] * q[i] with q = |l|^2, so the norm
+    over the grid is sum_m |h_m|^2 * (q * q)_m, a 1-D convolution on the
+    2N-1 sums; the filtered norm takes q * f^2 in place of q. Raises as
+    ``build_ring_jsa`` and ``filter_survival`` would.
+    """
+    h, lor = _ring_factors(pump1, pump2, ring, grid)
+    weight = np.abs(h) ** 2
+    q = np.abs(lor) ** 2
+    passed = q * sample_filter(spec, grid) ** 2
+    total = float(weight @ np.convolve(q, q))
+    _require_norm2(total * grid.step * grid.step, "ring builder")
+    return _require_survival(float(weight @ np.convolve(passed, passed)) / total, MIN_SURVIVAL)
 
 
 def apply_filter(

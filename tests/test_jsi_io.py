@@ -88,3 +88,13 @@ def test_read_jsi_rejects_malformed_files(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ConfigError, match="cannot read JSI file"):
         read_jsi(str(path))
+
+
+def test_read_jsi_rejects_a_file_shorter_than_its_header(tmp_path):
+    path = tmp_path / "jsi.csv"
+    cmd_jsi(load_bundled("sipic1_ring"), str(path), 61)
+    lines = path.read_text().splitlines(keepends=True)
+    assert read_jsi(str(path)).shape == (61, 61)
+    path.write_text("".join(lines[:-5]))  # the last 5 rows cut off
+    with pytest.raises(ConfigError, match="header declares nx=61 ny=61, data is 56 x 61"):
+        read_jsi(str(path))

@@ -14,9 +14,11 @@ from biphoton.schmidt import purity, schmidt_decompose
 from biphoton.sources import (
     MIN_SURVIVAL,
     JointSpectralAmplitude,
+    RingSource,
     apply_filter,
     filter_survival,
     norm2_bound,
+    ring_filter_survival,
 )
 from biphoton.spectral import FilterSpec, FrequencyGrid, omega_to_wavelength, sample_filter
 
@@ -41,13 +43,19 @@ def with_filter(scenario, spec):
 
 
 def assert_matches_whole_grid(scenario, n_points):
+    """The windowed JSA, and a ring's survival from its factors, against the whole-grid build."""
     windowed = pipeline.build_jsa(scenario, n_points=n_points)
-    reference = whole_grid(scenario, n_points)
+    unfiltered = pipeline.build_jsa(scenario, n_points=n_points, filtered=False)
+    reference = apply_filter(unfiltered, scenario.filter_spec)
     assert windowed.grid == reference.grid
     expected = schmidt_decompose(reference).purity
     assert schmidt_decompose(windowed).purity == pytest.approx(expected, rel=1e-11, abs=0.0)
     scale = np.max(np.abs(reference.values))
     assert np.max(np.abs(windowed.values - reference.values)) <= 1e-9 * scale
+    if isinstance(scenario.source, RingSource):
+        survival = ring_filter_survival(*scenario.pumps, scenario.source, windowed.grid, scenario.filter_spec)
+        expected = filter_survival(unfiltered, scenario.filter_spec)
+        assert survival == pytest.approx(expected, rel=1e-12, abs=0.0)
     return windowed
 
 
@@ -111,6 +119,8 @@ def test_one_point_passband_at_grid_end(index, window):
         whole_grid(scenario, 201)
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
         pipeline.build_jsa(scenario, n_points=201)
+    with pytest.raises(DegenerateInputError, match="filter annihilates"):
+        pipeline.purity_report(scenario, 201)  # survival from the ring's factors
 
 
 def test_bundled_window_needs_no_whole_grid_build(monkeypatch):
@@ -164,11 +174,29 @@ def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, caps
 
 
 def test_purity_survival_is_the_whole_grid_survival():
-    scenario = load_bundled(WAVEGUIDE)
-    report = pipeline.purity_report(scenario, 201)
-    unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
-    assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
-    assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
+    for name in (WAVEGUIDE, RING):
+        scenario = load_bundled(name)
+        report = pipeline.purity_report(scenario, 201)
+        unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
+        expected = filter_survival(unfiltered, scenario.filter_spec)
+        if name == WAVEGUIDE:
+            assert report["survival"] == expected
+        else:  # from the ring's factors: the same sum, taken in another order
+            assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
+
+
+def test_ring_purity_builds_only_the_window(monkeypatch):
+    sizes = []
+
+    def spy(pump1, pump2, source, grid, *args, **kwargs):
+        sizes.append(grid.n_points)
+        return build(pump1, pump2, source, grid, *args, **kwargs)
+
+    build = pipeline.build_ring_jsa
+    monkeypatch.setattr(pipeline, "build_ring_jsa", spy)
+    pipeline.purity_report(load_bundled(RING), 401)
+    assert sizes == [267]  # the 0.8 nm passband of the 401-point grid
 
 
 def embedded_then_filtered(scenario, n_points):
