@@ -74,14 +74,12 @@ def read_jsi(path: str) -> np.ndarray:
             shape = _declared_shape(handle)
             warnings.simplefilter("error", UserWarning)  # numpy only warns on a file without data rows
             values = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
+        if shape is not None and values.shape != shape:
+            rows, cols = values.shape
+            raise ValueError(f"header declares nx={shape[0]} ny={shape[1]}, data is {rows} x {cols}")
+        return values
     except (OSError, ValueError, UserWarning) as exc:
         raise ConfigError(f"cannot read JSI file {path}: {exc}") from exc
-    if shape is not None and values.shape != shape:
-        raise ConfigError(
-            f"cannot read JSI file {path}: header declares nx={shape[0]} ny={shape[1]}, "
-            f"data is {values.shape[0]} x {values.shape[1]}"
-        )
-    return values
 
 
 def _declared_shape(handle):

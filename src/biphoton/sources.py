@@ -446,9 +446,10 @@ def ring_filter_survival(
     weight = np.abs(h) ** 2
     q = np.abs(lor) ** 2
     passed = q * sample_filter(spec, grid) ** 2
-    total = float(weight @ np.convolve(q, q))
+    # a pairwise sum, not a dot over the 2N-1 sums, which would exceed SERIAL_DOT above 5000 points
+    total = float(np.sum(weight * np.convolve(q, q)))
     _require_norm2(total * grid.step * grid.step, "ring builder")
-    return _require_survival(float(weight @ np.convolve(passed, passed)) / total, MIN_SURVIVAL)
+    return _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total, MIN_SURVIVAL)
 
 
 def apply_filter(
