@@ -2,12 +2,14 @@
 
 Each Schmidt mode is an independent single-mode squeezer with parameter
 xi_mode = xi * sqrt(r); loss is an amplitude transmission eta applied as a
-beamsplitter before an ideal detector.
+beamsplitter before an ideal detector. A mode's photon-number distribution
+comes from its generating function by a three-term recurrence, O(1) work
+per photon number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, tanh
+from math import exp, isfinite, sinh, sqrt, tanh
 
 import numpy as np
 
@@ -15,7 +17,6 @@ from .errors import InvalidArgumentError, TruncationError
 
 DEFAULT_MAX_N = 20
 TAIL_TOL = 1e-10
-_BLOCK_ENTRIES = 1 << 16  # bounds the memory of one block of the thinning matrix
 
 
 @dataclass(frozen=True)
@@ -27,17 +28,17 @@ class SqueezingSpec:
     transmissions: np.ndarray = None
 
     def __post_init__(self):
-        if self.global_xi < 0:
-            raise InvalidArgumentError(f"global_xi must be >= 0, got {self.global_xi}")
+        if not (isfinite(self.global_xi) and self.global_xi >= 0):
+            raise InvalidArgumentError(f"global_xi must be finite and >= 0, got {self.global_xi}")
         r = np.asarray(self.schmidt_coefficients, dtype=float)
         object.__setattr__(self, "schmidt_coefficients", r)
-        if np.any(r < 0):
-            raise InvalidArgumentError("Schmidt coefficients must be nonnegative")
+        if not np.all(np.isfinite(r) & (r >= 0)):
+            raise InvalidArgumentError("Schmidt coefficients must be finite and nonnegative")
         if self.transmissions is None:
             eta = np.ones_like(r)
         else:
             eta = np.broadcast_to(np.asarray(self.transmissions, dtype=float), r.shape).copy()
-        if np.any((eta < 0) | (eta > 1)):
+        if not np.all((eta >= 0) & (eta <= 1)):  # also rejects nan
             raise InvalidArgumentError("transmissions must lie in [0, 1]")
         object.__setattr__(self, "transmissions", eta)
 
@@ -72,24 +73,34 @@ def lossy_density_diagonal(
 ) -> np.ndarray:
     """Photon-number probabilities of one lossy squeezed mode.
 
-    Returns p[m] for m = 0 .. 2*n_top. Loss is a beamsplitter, so p is the
-    lossless pair distribution P(2n) thinned binomially: each of the 2n
-    photons survives with probability eta^2. n_top doubles from ``max_n``
-    until the lossless tail 1 - sum P is below ``tail_tol`` (thinning keeps
-    the total, so that is also the tail of p). With ``auto_extend`` false a
-    TruncationError names the max_n that would have sufficed instead.
+    Returns p[m] for m = 0 .. 2*n_top. n_top is the number of pairs kept
+    of the lossless distribution P(2n) = sech(xi) tanh^2n(xi) (2n)! / (4^n (n!)^2):
+    it doubles from ``max_n`` until the lossless tail 1 - sum_{n <= n_top} P(2n)
+    is below ``tail_tol``. Loss only removes photons, so p on 0 .. 2*n_top
+    holds at least that mass. With ``auto_extend`` false a TruncationError
+    names the max_n that would have sufficed instead.
+
+    With t = tanh(xi), a = 1 - eta^2 and b = eta^2, sum_m p[m] z^m is
+    sech(xi) [1 - t^2 (a + b z)^2]^(-1/2), and differentiating it gives
+    (1 - t^2 a^2)(m + 1) p[m+1] = t^2 a b (2m + 1) p[m] + t^2 b^2 m p[m-1],
+    with p[-1] = 0 and p[0] = sech(xi) / sqrt(1 - t^2 a^2). Every term is
+    >= 0, so the forward recurrence does not cancel. The coefficients are
+    taken in the equal form 1 - t^2 a^2 = sech^2(xi) (1 + sinh^2(xi) b (1 + a)),
+    which keeps strong squeezing at low transmission free of cancellation.
     """
     if max_n < 0:
         raise InvalidArgumentError(f"max_n must be >= 0, got {max_n}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
-    if xi_mode < 0:
-        raise InvalidArgumentError(f"xi_mode must be >= 0, got {xi_mode}")
+    if not (isfinite(xi_mode) and xi_mode >= 0):
+        raise InvalidArgumentError(f"xi_mode must be finite and >= 0, got {xi_mode}")
+    t2 = tanh(xi_mode) ** 2
+    sech = 2.0 * exp(-xi_mode) / (1.0 + exp(-2.0 * xi_mode))  # 0, not an overflow, at large xi
     n_top = max_n
     while True:
-        log_fact = np.array([lgamma(j + 1) for j in range(2 * n_top + 1)])
-        pairs = _pair_probabilities(xi_mode, log_fact)
-        tail = 1.0 - pairs.sum()
+        two_n = 2.0 * np.arange(1, n_top + 1)
+        # P(2n) / P(2n - 2) = t^2 (2n - 1) / (2n)
+        tail = 1.0 - sech * (1.0 + np.cumprod(t2 * (two_n - 1.0) / two_n).sum())
         if n_top == max_n:
             first_tail = tail
         if tail < tail_tol:
@@ -101,46 +112,14 @@ def lossy_density_diagonal(
         raise TruncationError(
             f"truncation tail {first_tail:.3e} exceeds {tail_tol:.1e}; use max_n >= {n_top}"
         )
-    return _binomial_thinning(pairs, eta, log_fact)
-
-
-def _log_powers(exponents, base: float):
-    """exponents * log(base), taking 0 * log(0) as 0."""
-    if base > 0.0:
-        return exponents * log(base)
-    return np.where(exponents > 0, -np.inf, 0.0)
-
-
-def _pair_probabilities(xi_mode: float, log_fact: np.ndarray) -> np.ndarray:
-    """Lossless P(2n) = tanh^2n (2n)! / (4^n (n!)^2 cosh), n = 0 .. len(log_fact) // 2."""
-    n = np.arange(log_fact.size // 2 + 1)
-    log_p = (
-        _log_powers(n, tanh(xi_mode) ** 2)
-        + log_fact[2 * n]
-        - 2.0 * log_fact[n]
-        - n * log(4.0)
-        - log(np.cosh(xi_mode))
-    )
-    return np.exp(log_p)
-
-
-def _binomial_thinning(pairs: np.ndarray, eta: float, log_fact: np.ndarray) -> np.ndarray:
-    """p[m] = sum_n C(2n, m) eta^2m (1 - eta^2)^(2n - m) P(2n), in row blocks of B."""
-    two_n = 2 * np.arange(pairs.size)
-    probs = np.empty(two_n[-1] + 1)
-    rows = max(1, _BLOCK_ENTRIES // pairs.size)
-    for start in range(0, probs.size, rows):
-        m = np.arange(start, min(start + rows, probs.size))[:, None]
-        first = start // 2  # pairs with 2n < m cannot leave m photons
-        lost = two_n[first:] - m
-        kept = lost >= 0
-        lost = np.where(kept, lost, 0)
-        log_b = (
-            log_fact[two_n[first:]]
-            - log_fact[m]
-            - log_fact[lost]
-            + _log_powers(m, eta**2)
-            + _log_powers(lost, 1.0 - eta**2)
-        )
-        probs[start : start + rows] = np.where(kept, np.exp(log_b), 0.0) @ pairs[first:]
-    return probs
+    b = eta * eta
+    a = 1.0 - b
+    s = sinh(xi_mode) ** 2
+    d = 1.0 + s * b * (1.0 + a)
+    c1, c2 = s * a * b / d, s * b * b / d
+    prev, cur = 0.0, 1.0 / sqrt(d)
+    probs = [cur]
+    for m in range(2 * n_top):
+        prev, cur = cur, (c1 * (2 * m + 1) * cur + c2 * m * prev) / (m + 1)
+        probs.append(cur)
+    return np.array(probs)

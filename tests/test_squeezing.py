@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -108,9 +109,36 @@ def test_lossy_diagonal_mean_photon_number():
 @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
 def test_lossy_diagonal_matches_double_sum(xi, eta):
     p = lossy_density_diagonal(xi, eta)
-    reference = naive_lossy_diagonal(xi, eta)
-    assert p.size == reference.size
+    assert p.size == naive_lossy_diagonal(xi, eta).size
+    # p is the exact distribution on 0 .. 2*n_top, so the reference is the
+    # double sum converged far past that n_top, cut to the same length
+    reference = naive_lossy_diagonal(xi, eta, tail_tol=1e-13)[: p.size]
     assert np.max(np.abs(p - reference)) <= 1e-12 * reference.max()
+
+
+def test_lossy_diagonal_prefix_does_not_depend_on_truncation():
+    p = lossy_density_diagonal(0.3, 0.7)
+    assert np.array_equal(p, lossy_density_diagonal(0.3, 0.7, max_n=160)[: p.size])
+
+
+def vacuum_probability(xi, eta):
+    """sech(xi) / sqrt(1 - tanh^2(xi) (1 - eta^2)^2), evaluated to 40 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(xi)
+        e2 = (2 * x).exp()
+        t = (e2 - 1) / (e2 + 1)
+        sech = 2 * x.exp() / (e2 + 1)
+        a = 1 - Decimal(eta) ** 2
+        return float(sech / (1 - t * t * a * a).sqrt())
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.05, 0.7, 1.4, 1.9, 2.5])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.6, 0.99, 1.0])
+def test_lossy_diagonal_vacuum_closed_form_and_mass(xi, eta):
+    p = lossy_density_diagonal(xi, eta)
+    assert p[0] == pytest.approx(vacuum_probability(xi, eta), rel=1e-15, abs=0.0)
+    assert np.sum(p) >= 1.0 - 1e-10
 
 
 def test_lossy_diagonal_extends_from_max_n_zero():
@@ -134,3 +162,24 @@ def test_spec_validation():
             schmidt_coefficients=np.array([1.0]),
             transmissions=np.array([1.5]),
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"global_xi": math.nan},
+        {"global_xi": math.inf},
+        {"schmidt_coefficients": [0.5, math.nan]},
+        {"schmidt_coefficients": [0.5, math.inf]},
+        {"transmissions": [math.nan]},
+    ],
+)
+def test_spec_rejects_non_finite_inputs(bad):
+    with pytest.raises(InvalidArgumentError):
+        SqueezingSpec(**{"global_xi": 0.1, "schmidt_coefficients": [1.0], **bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lossy_diagonal_rejects_non_finite_xi(bad):
+    with pytest.raises(InvalidArgumentError, match="xi_mode must be finite"):
+        lossy_density_diagonal(bad, 0.5)
