@@ -179,9 +179,10 @@ def stats_report(scenario: Scenario, n_points: int = None, filtered: bool = True
     """Squeezed-state statistics from the scenario's Schmidt spectrum."""
     spectrum = schmidt_spectrum(scenario, n_points, filtered)
     settings = scenario.squeezing
-    spec = SqueezingSpec(settings.xi, spectrum.coefficients, transmissions=settings.eta)
-    # strong squeezing overflows sinh and cosh: a typed error, not a warning and an inf
+    # strong squeezing overflows sinh, in the spec's per-mode arrays: a typed
+    # error, not a warning and an inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spec = SqueezingSpec(settings.xi, spectrum.coefficients, transmissions=settings.eta)
         moments = {
             "mean_photon_number": mean_photon_number(spec),
             "trigger_probability": trigger_probability(spec),

@@ -30,8 +30,13 @@ class SchmidtSpectrum:
 
     @property
     def tail(self) -> float:
-        """Weight of the coefficients that ``significant()`` leaves out."""
-        return float(np.sum(self.coefficients) - np.sum(self.significant()))
+        """Weight of the coefficients that ``significant()`` leaves out.
+
+        Summed directly, not as the difference of two sums near 1, which
+        would cancel to rounding and could come out negative.
+        """
+        c = self.coefficients
+        return float(np.sum(c[c < TAIL_REL_TOL * c[0]])) if c.size else 0.0
 
     def significant(self, rel_tol: float = TAIL_REL_TOL) -> np.ndarray:
         """Coefficients above rel_tol of the leading one (for reporting)."""

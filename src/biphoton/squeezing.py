@@ -8,8 +8,9 @@ per photon number.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import exp, isfinite, sinh, sqrt, tanh
+from numbers import Integral
 
 import numpy as np
 
@@ -21,35 +22,50 @@ TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SqueezingSpec:
-    """Global squeezing strength, Schmidt weights, and per-mode transmissions."""
+    """Global squeezing strength, Schmidt weights, and per-mode transmissions.
+
+    The per-mode arrays are derived once, at construction: ``mode_xi`` =
+    global_xi * sqrt(r), and (private) the intensity transmissions eta^2 and
+    the lossless mean photon numbers sinh^2(mode_xi) that both moments use.
+    So a xi too strong for sinh overflows here, with numpy's RuntimeWarning,
+    and the moments come out inf or nan without a further warning.
+    """
 
     global_xi: float
     schmidt_coefficients: np.ndarray
     transmissions: np.ndarray = None
+    mode_xi: np.ndarray = field(init=False)
+    _eta2: np.ndarray = field(init=False, repr=False)
+    _sinh2: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (isfinite(self.global_xi) and self.global_xi >= 0):
             raise InvalidArgumentError(f"global_xi must be finite and >= 0, got {self.global_xi}")
         r = np.asarray(self.schmidt_coefficients, dtype=float)
-        object.__setattr__(self, "schmidt_coefficients", r)
-        if not np.all(np.isfinite(r) & (r >= 0)):
+        # nan propagates through min and max, so it fails both comparisons
+        if r.size and not (r.min() >= 0 and isfinite(r.max())):
             raise InvalidArgumentError("Schmidt coefficients must be finite and nonnegative")
-        if self.transmissions is None:
-            eta = np.ones_like(r)
-        else:
-            eta = np.broadcast_to(np.asarray(self.transmissions, dtype=float), r.shape).copy()
-        if not np.all((eta >= 0) & (eta <= 1)):  # also rejects nan
-            raise InvalidArgumentError("transmissions must lie in [0, 1]")
+        eta = np.ones_like(r)
+        if self.transmissions is not None:
+            given = np.asarray(self.transmissions, dtype=float)
+            try:
+                eta[...] = given
+            except ValueError as exc:
+                msg = f"transmissions of shape {given.shape} do not broadcast to {r.shape}"
+                raise InvalidArgumentError(msg) from exc
+            if eta.size and not (eta.min() >= 0 and eta.max() <= 1):  # also rejects nan
+                raise InvalidArgumentError("transmissions must lie in [0, 1]")
+        mode_xi = self.global_xi * np.sqrt(r)
+        object.__setattr__(self, "schmidt_coefficients", r)
         object.__setattr__(self, "transmissions", eta)
-
-    @property
-    def mode_xi(self) -> np.ndarray:
-        return self.global_xi * np.sqrt(self.schmidt_coefficients)
+        object.__setattr__(self, "mode_xi", mode_xi)
+        object.__setattr__(self, "_eta2", eta**2)
+        object.__setattr__(self, "_sinh2", np.sinh(mode_xi) ** 2)
 
 
 def mean_photon_number(spec: SqueezingSpec) -> float:
     """Sum over modes of eta^2 * sinh(xi_mode)^2."""
-    return float(np.sum(spec.transmissions**2 * np.sinh(spec.mode_xi) ** 2))
+    return float(np.sum(spec._eta2 * spec._sinh2))
 
 
 def trigger_probability(spec: SqueezingSpec) -> float:
@@ -59,8 +75,8 @@ def trigger_probability(spec: SqueezingSpec) -> float:
     and independent modes multiply: p = 1 - exp(-1/2 sum log1p(eta^2 (2 - eta^2)
     sinh(xi)^2)), which keeps small p and eta = 0 exact where 1 - prod would cancel.
     """
-    eta2 = spec.transmissions**2
-    log_no_click = -0.5 * np.sum(np.log1p(eta2 * (2.0 - eta2) * np.sinh(spec.mode_xi) ** 2))
+    eta2 = spec._eta2
+    log_no_click = -0.5 * np.sum(np.log1p(eta2 * (2.0 - eta2) * spec._sinh2))
     return float(-np.expm1(log_no_click))
 
 
@@ -76,9 +92,11 @@ def lossy_density_diagonal(
     Returns p[m] for m = 0 .. 2*n_top. n_top is the number of pairs kept
     of the lossless distribution P(2n) = sech(xi) tanh^2n(xi) (2n)! / (4^n (n!)^2):
     it doubles from ``max_n`` until the lossless tail 1 - sum_{n <= n_top} P(2n)
-    is below ``tail_tol``. Loss only removes photons, so p on 0 .. 2*n_top
-    holds at least that mass. With ``auto_extend`` false a TruncationError
-    names the max_n that would have sufficed instead.
+    is below ``tail_tol``. The terms P(2n)/P(0) and their sum run on from
+    one doubling to the next, so each n costs one product and one sum. Loss
+    only removes photons, so p on 0 .. 2*n_top holds at least that mass.
+    With ``auto_extend`` false a TruncationError names the max_n that would
+    have sufficed instead.
 
     With t = tanh(xi), a = 1 - eta^2 and b = eta^2, sum_m p[m] z^m is
     sech(xi) [1 - t^2 (a + b z)^2]^(-1/2), and differentiating it gives
@@ -88,19 +106,24 @@ def lossy_density_diagonal(
     taken in the equal form 1 - t^2 a^2 = sech^2(xi) (1 + sinh^2(xi) b (1 + a)),
     which keeps strong squeezing at low transmission free of cancellation.
     """
-    if max_n < 0:
-        raise InvalidArgumentError(f"max_n must be >= 0, got {max_n}")
+    if not (isinstance(max_n, Integral) and max_n >= 0):
+        raise InvalidArgumentError(f"max_n must be an integer >= 0, got {max_n!r}")
+    if not tail_tol > 0:  # also rejects nan
+        raise InvalidArgumentError(f"tail_tol must be > 0, got {tail_tol}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
     if not (isfinite(xi_mode) and xi_mode >= 0):
         raise InvalidArgumentError(f"xi_mode must be finite and >= 0, got {xi_mode}")
     t2 = tanh(xi_mode) ** 2
     sech = 2.0 * exp(-xi_mode) / (1.0 + exp(-2.0 * xi_mode))  # 0, not an overflow, at large xi
-    n_top = max_n
+    n_top, n, ratio, ratio_sum = max_n, 0, 1.0, 0.0  # ratio = P(2n) / P(0)
     while True:
-        two_n = 2.0 * np.arange(1, n_top + 1)
-        # P(2n) / P(2n - 2) = t^2 (2n - 1) / (2n)
-        tail = 1.0 - sech * (1.0 + np.cumprod(t2 * (two_n - 1.0) / two_n).sum())
+        for k in range(n + 1, n_top + 1):
+            two_k = 2.0 * k
+            ratio *= t2 * (two_k - 1.0) / two_k  # P(2k) / P(2k - 2) = t^2 (2k - 1) / (2k)
+            ratio_sum += ratio
+        n = n_top
+        tail = 1.0 - sech * (1.0 + ratio_sum)
         if n_top == max_n:
             first_tail = tail
         if tail < tail_tol:

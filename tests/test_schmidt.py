@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -150,3 +152,18 @@ def test_visibility_overlap_relations_invert():
         visibility_from_overlap(1.5)
     with pytest.raises(InvalidArgumentError):
         overlap_from_visibility(-0.1)
+
+
+def test_schmidt_tail_is_the_dropped_weight():
+    # as sum(c) - sum(kept) the 1e-17 is lost to rounding next to 1
+    spectrum = schmidt.SchmidtSpectrum(np.array([0.7, 0.3, 1e-17, 2e-18]))
+    assert spectrum.tail == 1e-17 + 2e-18
+    assert schmidt.SchmidtSpectrum(np.array([])).tail == 0.0
+
+
+def test_schmidt_tail_of_a_real_spectrum_matches_fsum():
+    values = gaussian_jsa(n=61, correlation=0.4)
+    c = schmidt_decompose(values).coefficients
+    dropped = c[c < schmidt.TAIL_REL_TOL * c[0]]
+    assert dropped.size > 0
+    assert schmidt_decompose(values).tail == pytest.approx(math.fsum(dropped), rel=1e-12, abs=0.0)

@@ -1,8 +1,11 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import naive_lossy_diagonal
 
 from biphoton.errors import InvalidArgumentError, TruncationError
@@ -40,7 +43,7 @@ def test_zero_transmission_detects_nothing():
 def test_mode_xi_scaling():
     r = np.array([0.5, 0.3, 0.2])
     spec = SqueezingSpec(global_xi=0.4, schmidt_coefficients=r)
-    np.testing.assert_allclose(spec.mode_xi, 0.4 * np.sqrt(r), rtol=1e-15)
+    assert np.array_equal(spec.mode_xi, 0.4 * np.sqrt(r))
 
 
 def test_multimode_energy_splits_across_modes():
@@ -183,3 +186,113 @@ def test_spec_rejects_non_finite_inputs(bad):
 def test_lossy_diagonal_rejects_non_finite_xi(bad):
     with pytest.raises(InvalidArgumentError, match="xi_mode must be finite"):
         lossy_density_diagonal(bad, 0.5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: SqueezingSpec(0.1, [0.6, 0.4], transmissions=[0.5] * 3), id="eta-length"
+        ),
+        pytest.param(
+            lambda: SqueezingSpec(0.1, [0.6, 0.4], transmissions=np.ones((2, 2))), id="eta-shape"
+        ),
+        pytest.param(lambda: lossy_density_diagonal(0.3, 0.5, max_n=20.0), id="max_n-float"),
+        pytest.param(lambda: lossy_density_diagonal(0.3, 0.5, max_n=-1), id="max_n-negative"),
+        pytest.param(lambda: lossy_density_diagonal(0.3, 0.5, tail_tol=math.nan), id="tol-nan"),
+        pytest.param(lambda: lossy_density_diagonal(0.3, 0.5, tail_tol=0.0), id="tol-zero"),
+        pytest.param(lambda: lossy_density_diagonal(0.3, 0.5, tail_tol=-1e-10), id="tol-negative"),
+    ],
+)
+def test_bad_squeezing_arguments_raise_typed_errors(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
+
+
+def test_overflowing_spec_warns_at_construction():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        spec = SqueezingSpec(1000.0, [1.0], transmissions=[0.5])
+    assert mean_photon_number(spec) == math.inf
+
+
+def reference_moments(spec):
+    """Both moments from the spec's inputs alone, in the same expression order."""
+    eta2 = spec.transmissions**2
+    sinh2 = np.sinh(spec.global_xi * np.sqrt(spec.schmidt_coefficients)) ** 2
+    mean = float(np.sum(spec.transmissions**2 * sinh2))
+    trigger = float(-np.expm1(-0.5 * np.sum(np.log1p(eta2 * (2.0 - eta2) * sinh2))))
+    return mean, trigger
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def specs(draw):
+    n = draw(st.integers(0, 40))
+    r = np.array(draw(st.lists(st.one_of(st.just(0.0), unit), min_size=n, max_size=n)))
+    eta = draw(
+        st.one_of(
+            st.none(),
+            st.just(0.0),
+            unit,
+            st.lists(unit, min_size=n, max_size=n).map(np.array),
+        )
+    )
+    return SqueezingSpec(draw(st.floats(0.0, 3.0)), r, transmissions=eta)
+
+
+@given(specs())
+def test_moments_equal_the_per_call_expressions(spec):
+    assert (mean_photon_number(spec), trigger_probability(spec)) == reference_moments(spec)
+
+
+def cumprod_tail_diagonal(xi_mode, eta, max_n, tail_tol=1e-10, auto_extend=True):
+    """The Fock diagonal with its lossless tail re-summed by ``cumprod`` at each doubling."""
+    t2 = math.tanh(xi_mode) ** 2
+    sech = 2.0 * math.exp(-xi_mode) / (1.0 + math.exp(-2.0 * xi_mode))
+    n_top = max_n
+    while True:
+        two_n = 2.0 * np.arange(1, n_top + 1)
+        tail = 1.0 - sech * (1.0 + np.cumprod(t2 * (two_n - 1.0) / two_n).sum())
+        if n_top == max_n:
+            first_tail = tail
+        if tail < tail_tol:
+            break
+        n_top = max(2 * n_top, 1)
+        if n_top > 100000:
+            raise TruncationError("series does not converge within 1e5 terms")
+    if n_top != max_n and not auto_extend:
+        raise TruncationError(
+            f"truncation tail {first_tail:.3e} exceeds {tail_tol:.1e}; use max_n >= {n_top}"
+        )
+    b = eta * eta
+    a = 1.0 - b
+    s = math.sinh(xi_mode) ** 2
+    d = 1.0 + s * b * (1.0 + a)
+    c1, c2 = s * a * b / d, s * b * b / d
+    prev, cur = 0.0, 1.0 / math.sqrt(d)
+    probs = [cur]
+    for m in range(2 * n_top):
+        prev, cur = cur, (c1 * (2 * m + 1) * cur + c2 * m * prev) / (m + 1)
+        probs.append(cur)
+    return np.array(probs)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except TruncationError as exc:
+        return str(exc)
+
+
+# from 20 pairs at xi 0.3, n_top doubles at mode xi ~ 0.72, 1.02, 1.37, 1.72, 2.06, ...
+@pytest.mark.parametrize("xi", [0.0, 0.3, 0.71, 0.73, 1.0, 1.05, 1.35, 1.4, 1.7, 1.75, 2.1, 2.5, 3.0])
+def test_running_tail_matches_cumprod_tail_bit_for_bit(xi):
+    for eta, max_n, auto_extend in itertools.product([0.0, 0.45, 1.0], [0, 1, 3, 20, 50], [True, False]):
+        got = outcome(lossy_density_diagonal, xi, eta, max_n=max_n, auto_extend=auto_extend)
+        want = outcome(cumprod_tail_diagonal, xi, eta, max_n, auto_extend=auto_extend)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.size == want.size and got.tobytes() == want.tobytes()
