@@ -38,11 +38,11 @@ class SchmidtSpectrum:
         c = self.coefficients
         return float(np.sum(c[c < TAIL_REL_TOL * c[0]])) if c.size else 0.0
 
-    def significant(self, rel_tol: float = TAIL_REL_TOL) -> np.ndarray:
-        """Coefficients above rel_tol of the leading one (for reporting)."""
+    def significant(self) -> np.ndarray:
+        """Coefficients at least TAIL_REL_TOL of the leading one (for reporting)."""
         if self.coefficients.size == 0:
             return self.coefficients
-        return self.coefficients[self.coefficients >= rel_tol * self.coefficients[0]]
+        return self.coefficients[self.coefficients >= TAIL_REL_TOL * self.coefficients[0]]
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,12 @@ from .spectral import (
     wavelength_to_omega,
 )
 
-# quadrature defaults for the pump convolution integral
-MIN_POINTS_PER_FWHM = 8
-DEFAULT_POINTS_PER_FWHM = 16
-DEFAULT_HALFWIDTH_FWHMS = 8.0
+# the pump convolution's trapezoid rule: 16 nodes per pump-1 FWHM over
+# +-8 FWHM, 257 nodes; read at call time, so tests can patch them
+POINTS_PER_FWHM = 16
+HALFWIDTH_FWHMS = 8.0
+# a pump further than this many linewidths from its ring resonance warns
+DETUNE_WARN_LINEWIDTHS = 10.0
 # below this |x| the waveguide kernel takes its series, avoiding 0/0 and cancellation
 SINC_SERIES_CUTOFF = 1e-4
 _BLOCK_ENTRIES = 1 << 15  # bounds the entries of one block of pump nodes x pairs
@@ -66,7 +68,7 @@ class WaveguideSource:
     dispersion: DispersionModel
 
     def __post_init__(self):
-        if self.length < 0:
+        if not self.length >= 0:  # also rejects nan
             raise InvalidArgumentError(f"length must be >= 0, got {self.length}")
 
 
@@ -88,9 +90,9 @@ class RingSource:
     detuning_p2: float = 0.0
 
     def __post_init__(self):
-        if self.q_factor <= 0:
+        if not self.q_factor > 0:  # also rejects nan, as does the fsr check
             raise InvalidArgumentError(f"q_factor must be positive, got {self.q_factor}")
-        if self.fsr <= 0:
+        if not self.fsr > 0:
             raise InvalidArgumentError(f"fsr must be positive, got {self.fsr}")
 
     def resonance(self, which: str) -> "RingResonance":
@@ -168,16 +170,11 @@ def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
     return np.abs(jsa.values) ** 2
 
 
-def _pump_quadrature(line: PumpLine, points_per_fwhm: int, halfwidth_fwhms: float):
-    """Trapezoid nodes/weights on a window around one pump line."""
-    if points_per_fwhm < MIN_POINTS_PER_FWHM:
-        raise UnderResolvedError(
-            f"pump quadrature needs >= {MIN_POINTS_PER_FWHM} points per FWHM, "
-            f"got {points_per_fwhm}"
-        )
-    n = int(round(2 * halfwidth_fwhms * points_per_fwhm)) + 1
+def _pump_quadrature(line: PumpLine):
+    """Trapezoid nodes/weights on +-HALFWIDTH_FWHMS FWHM around one pump line."""
+    n = int(round(2 * HALFWIDTH_FWHMS * POINTS_PER_FWHM)) + 1
     w0 = line.center_omega
-    half = halfwidth_fwhms * line.linewidth_fwhm
+    half = HALFWIDTH_FWHMS * line.linewidth_fwhm
     nodes = w0 + np.linspace(-half, half, n)
     step = nodes[1] - nodes[0]
     weights = np.full(n, step)
@@ -215,13 +212,7 @@ def _node_peaks(a: np.ndarray, pump2: PumpLine, nodes: np.ndarray, sums: np.ndar
     return np.abs(a) * np.abs(pump_amplitude(pump2, nearest))
 
 
-def _pump_product(
-    pump1: PumpLine,
-    pump2: PumpLine,
-    grid: FrequencyGrid,
-    points_per_fwhm: int,
-    halfwidth_fwhms: float,
-):
+def _pump_product(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid):
     """Weighted pump product on the pump-1 nodes and the signal+idler sums.
 
     The pump convolution depends on ws and wi only through S = ws + wi,
@@ -230,7 +221,7 @@ def _pump_product(
     product[n, m] = w_n * a(node_n) * b(S_m - node_n), on the contiguous
     range of nodes whose terms can reach eps / (2 * n_nodes) of the largest.
     """
-    nodes, weights = _pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
+    nodes, weights = _pump_quadrature(pump1)
     _require_resolved(pump1.linewidth_fwhm, grid, "pump1")
     _require_resolved(pump2.linewidth_fwhm, grid, "pump2")
     sums = 2.0 * grid.omega_min + np.arange(2 * grid.n_points - 1) * grid.step
@@ -249,13 +240,13 @@ def _pump_product(
 
 
 def norm2_bound(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid) -> float:
-    """Upper bound on either builder's ``norm2_before`` on ``grid`` (default quadrature).
+    """Upper bound on either builder's ``norm2_before`` on ``grid``.
 
     Both kernels have modulus <= 1 (|exp(ix) sinc x| <= 1, and every ring
     Lorentzian is peak-normalized), so no entry exceeds
     sum_n w_n * |a(node_n)| * max |b|; |b| peaks at the pump-2 line.
     """
-    nodes, weights = _pump_quadrature(pump1, DEFAULT_POINTS_PER_FWHM, DEFAULT_HALFWIDTH_FWHMS)
+    nodes, weights = _pump_quadrature(pump1)
     entry = np.sum(weights * np.abs(pump_amplitude(pump1, nodes)))
     entry *= np.abs(pump_amplitude(pump2, pump2.center_omega))
     return float((grid.n_points * grid.step * entry) ** 2)
@@ -274,12 +265,7 @@ def _mirror(n: int, s: np.ndarray, i: np.ndarray, upper: np.ndarray) -> np.ndarr
 
 
 def build_waveguide_jsa(
-    pump1: PumpLine,
-    pump2: PumpLine,
-    source: WaveguideSource,
-    grid: FrequencyGrid,
-    points_per_fwhm: int = DEFAULT_POINTS_PER_FWHM,
-    halfwidth_fwhms: float = DEFAULT_HALFWIDTH_FWHMS,
+    pump1: PumpLine, pump2: PumpLine, source: WaveguideSource, grid: FrequencyGrid
 ) -> JointSpectralAmplitude:
     """Unit-normalized JSA of a waveguide source on a square grid.
 
@@ -292,7 +278,7 @@ def build_waveguide_jsa(
     pump product depend on the pair only through S, so they are tabulated on
     nodes x sums once and expanded to the pairs one block of nodes at a time.
     """
-    nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
+    nodes, sums, product = _pump_product(pump1, pump2, grid)
     length = source.length
     # beta0 and beta1 cancel in dk because ws + wi = w_p1 + w_p2; dropping
     # them keeps the phases L*k, and their rounding, small
@@ -339,15 +325,7 @@ def build_waveguide_jsa(
     return _normalize(grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
 
 
-def _ring_factors(
-    pump1: PumpLine,
-    pump2: PumpLine,
-    ring: RingSource,
-    grid: FrequencyGrid,
-    points_per_fwhm: int = DEFAULT_POINTS_PER_FWHM,
-    halfwidth_fwhms: float = DEFAULT_HALFWIDTH_FWHMS,
-    detune_warn_linewidths: float = 10.0,
-):
+def _ring_factors(pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid):
     """(h, l): the ring JSA's pump sum on the grid's 2N-1 signal+idler sums
     and the signal/idler resonance Lorentzian on the grid points."""
     res_s = ring.resonance("signal")
@@ -357,13 +335,13 @@ def _ring_factors(
     # warn when a pump is parked far off its comb line (RingOff regime)
     for line, res, tag in ((pump1, res_p1, "pump1"), (pump2, res_p2, "pump2")):
         detune = abs(line.center_omega - res.center_omega)
-        if detune > detune_warn_linewidths * res.fwhm_omega:
+        if detune > DETUNE_WARN_LINEWIDTHS * res.fwhm_omega:
             warnings.warn(
                 f"{tag} is {detune / res.fwhm_omega:.1f} linewidths from its ring "
                 "resonance (RingOff regime)",
                 RingDetuningWarning,
             )
-    nodes, sums, product = _pump_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms)
+    nodes, sums, product = _pump_product(pump1, pump2, grid)
     product *= res_p2.amplitude(sums[None, :] - nodes[:, None])
     # h = l_p1(nodes) @ product, a few sums at a time to stay within SERIAL_GEMV
     lor_p1 = res_p1.amplitude(nodes)
@@ -373,13 +351,7 @@ def _ring_factors(
 
 
 def build_ring_jsa(
-    pump1: PumpLine,
-    pump2: PumpLine,
-    ring: RingSource,
-    grid: FrequencyGrid,
-    points_per_fwhm: int = DEFAULT_POINTS_PER_FWHM,
-    halfwidth_fwhms: float = DEFAULT_HALFWIDTH_FWHMS,
-    detune_warn_linewidths: float = 10.0,
+    pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid
 ) -> JointSpectralAmplitude:
     """Unit-normalized JSA of a microring source.
 
@@ -388,9 +360,7 @@ def build_ring_jsa(
     frequency, and signal and idler pick up the degenerate-resonance
     Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
     """
-    h, lor = _ring_factors(
-        pump1, pump2, ring, grid, points_per_fwhm, halfwidth_fwhms, detune_warn_linewidths
-    )
+    h, lor = _ring_factors(pump1, pump2, ring, grid)
     s, i = np.triu_indices(grid.n_points)
     upper = lor[s] * lor[i]
     upper *= h[s + i]
@@ -417,15 +387,13 @@ def _filtered(
     return filtered, _require_survival(sum_abs2(filtered) * jsa.measure, min_survival)
 
 
-def filter_survival(
-    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float = MIN_SURVIVAL
-) -> float:
+def filter_survival(jsa: JointSpectralAmplitude, spec: FilterSpec) -> float:
     """Fraction of a normalized JSA's L2 norm that the filter passes on both arms.
 
-    This is the heralding-efficiency proxy; below ``min_survival`` the
-    filter annihilates the spectrum and a DegenerateInputError is raised.
+    This is the heralding-efficiency proxy; below MIN_SURVIVAL the filter
+    annihilates the spectrum and a DegenerateInputError is raised.
     """
-    return _filtered(jsa, spec, min_survival)[1]
+    return _filtered(jsa, spec, MIN_SURVIVAL)[1]
 
 
 def ring_filter_survival(

@@ -148,8 +148,10 @@ class FilterSpec:
     rolloff: float = 0.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise InvalidArgumentError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not np.isfinite(self.center_wavelength):
+            raise InvalidArgumentError(f"center_wavelength must be finite, got {self.center_wavelength}")
+        if not (np.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise InvalidArgumentError(f"bandwidth must be finite and positive, got {self.bandwidth}")
         if self.profile not in ("rectangle", "raised_cosine"):
             raise InvalidArgumentError(f"unknown filter profile {self.profile!r}")
         if not 0.0 <= self.rolloff <= 1.0:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, isfinite, sinh, sqrt, tanh
-from numbers import Integral
 
 import numpy as np
 
 from .errors import InvalidArgumentError, TruncationError
 
-DEFAULT_MAX_N = 20
+# the Fock series starts at MAX_N pairs and doubles until its lossless tail is
+# below TAIL_TOL; read at call time, so tests can patch them
+MAX_N = 20
 TAIL_TOL = 1e-10
 
 
@@ -80,23 +81,15 @@ def trigger_probability(spec: SqueezingSpec) -> float:
     return float(-np.expm1(log_no_click))
 
 
-def lossy_density_diagonal(
-    xi_mode: float,
-    eta: float,
-    max_n: int = DEFAULT_MAX_N,
-    tail_tol: float = TAIL_TOL,
-    auto_extend: bool = True,
-) -> np.ndarray:
+def lossy_density_diagonal(xi_mode: float, eta: float) -> np.ndarray:
     """Photon-number probabilities of one lossy squeezed mode.
 
     Returns p[m] for m = 0 .. 2*n_top. n_top is the number of pairs kept
     of the lossless distribution P(2n) = sech(xi) tanh^2n(xi) (2n)! / (4^n (n!)^2):
-    it doubles from ``max_n`` until the lossless tail 1 - sum_{n <= n_top} P(2n)
-    is below ``tail_tol``. The terms P(2n)/P(0) and their sum run on from
+    it doubles from MAX_N until the lossless tail 1 - sum_{n <= n_top} P(2n)
+    is below TAIL_TOL. The terms P(2n)/P(0) and their sum run on from
     one doubling to the next, so each n costs one product and one sum. Loss
     only removes photons, so p on 0 .. 2*n_top holds at least that mass.
-    With ``auto_extend`` false a TruncationError names the max_n that would
-    have sufficed instead.
 
     With t = tanh(xi), a = 1 - eta^2 and b = eta^2, sum_m p[m] z^m is
     sech(xi) [1 - t^2 (a + b z)^2]^(-1/2), and differentiating it gives
@@ -106,35 +99,24 @@ def lossy_density_diagonal(
     taken in the equal form 1 - t^2 a^2 = sech^2(xi) (1 + sinh^2(xi) b (1 + a)),
     which keeps strong squeezing at low transmission free of cancellation.
     """
-    if not (isinstance(max_n, Integral) and max_n >= 0):
-        raise InvalidArgumentError(f"max_n must be an integer >= 0, got {max_n!r}")
-    if not tail_tol > 0:  # also rejects nan
-        raise InvalidArgumentError(f"tail_tol must be > 0, got {tail_tol}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
     if not (isfinite(xi_mode) and xi_mode >= 0):
         raise InvalidArgumentError(f"xi_mode must be finite and >= 0, got {xi_mode}")
     t2 = tanh(xi_mode) ** 2
     sech = 2.0 * exp(-xi_mode) / (1.0 + exp(-2.0 * xi_mode))  # 0, not an overflow, at large xi
-    n_top, n, ratio, ratio_sum = max_n, 0, 1.0, 0.0  # ratio = P(2n) / P(0)
+    n_top, n, ratio, ratio_sum = MAX_N, 0, 1.0, 0.0  # ratio = P(2n) / P(0)
     while True:
         for k in range(n + 1, n_top + 1):
             two_k = 2.0 * k
             ratio *= t2 * (two_k - 1.0) / two_k  # P(2k) / P(2k - 2) = t^2 (2k - 1) / (2k)
             ratio_sum += ratio
         n = n_top
-        tail = 1.0 - sech * (1.0 + ratio_sum)
-        if n_top == max_n:
-            first_tail = tail
-        if tail < tail_tol:
+        if 1.0 - sech * (1.0 + ratio_sum) < TAIL_TOL:
             break
         n_top = max(2 * n_top, 1)
         if n_top > 100000:
             raise TruncationError("series does not converge within 1e5 terms")
-    if n_top != max_n and not auto_extend:
-        raise TruncationError(
-            f"truncation tail {first_tail:.3e} exceeds {tail_tol:.1e}; use max_n >= {n_top}"
-        )
     b = eta * eta
     a = 1.0 - b
     s = sinh(xi_mode) ** 2

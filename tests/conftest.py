@@ -2,6 +2,8 @@
 import pytest
 import yaml
 
+from biphoton import sources
+
 
 def parse(text, loader):
     """The data ``loader`` gives for ``text``, or the type of its error."""
@@ -9,6 +11,18 @@ def parse(text, loader):
         return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         return type(exc)
+
+
+@pytest.fixture
+def oracle_quadrature(monkeypatch):
+    """8 pump nodes per FWHM over +-4 FWHM in the builders, returned for the scalar oracles.
+
+    The scalar-loop oracles take several times longer at the builders'
+    257 nodes; the comparison holds on any quadrature both sides share.
+    """
+    monkeypatch.setattr(sources, "POINTS_PER_FWHM", 8)
+    monkeypatch.setattr(sources, "HALFWIDTH_FWHMS", 4.0)
+    return dict(points_per_fwhm=8, halfwidth_fwhms=4.0)
 
 
 @pytest.fixture(autouse=True)

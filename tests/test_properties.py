@@ -134,7 +134,7 @@ def test_node_peaks_bound_the_pump_product(
     omega2 = 2.0 * W0 - pump1.center_omega + detune_ghz * GHZ
     pump2 = PumpLine(float(omega_to_wavelength(omega2)), linewidths_ghz[1] * GHZ, shape_pair[1])
     grid = make_grid(CENTER, span_nm * 1e-9, n_points)
-    nodes, weights = sources._pump_quadrature(pump1, 16, 8.0)
+    nodes, weights = sources._pump_quadrature(pump1)
     sums = 2.0 * grid.omega_min + np.arange(2 * n_points - 1) * grid.step
     a = weights * pump_amplitude(pump1, nodes)
     largest = np.abs(a[:, None] * pump_amplitude(pump2, sums[None, :] - nodes[:, None])).max(axis=1)

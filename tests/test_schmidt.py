@@ -97,9 +97,10 @@ def test_purity_gram_tiles_agree_with_svd(monkeypatch, gemm, shape):
 def test_schmidt_significant_truncation():
     spectrum = schmidt_decompose(gaussian_jsa(n=31, correlation=0.6))
     assert np.sum(spectrum.coefficients) == pytest.approx(1.0, abs=1e-10)
-    kept = spectrum.significant(1e-6)
+    kept = spectrum.significant()
     assert kept.size <= spectrum.coefficients.size
-    assert np.all(kept >= 1e-6 * spectrum.coefficients[0])
+    assert np.all(kept >= schmidt.TAIL_REL_TOL * spectrum.coefficients[0])
+    assert np.all(spectrum.coefficients[kept.size :] < schmidt.TAIL_REL_TOL * spectrum.coefficients[0])
 
 
 def test_self_overlap_is_unity():

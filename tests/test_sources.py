@@ -75,8 +75,6 @@ def test_ring_jsa_is_unit_normalized():
 # anything. A JSA shifted by one row scores about 1.
 WAVEGUIDE_ORACLE_TOL = 1e-9
 RING_ORACLE_TOL = 1e-10
-# 8 pump nodes per FWHM over +-4 FWHM keep the scalar-loop oracles quick
-ORACLE_QUADRATURE = dict(points_per_fwhm=8, halfwidth_fwhms=4.0)
 
 
 def oracle_error(fast, slow):
@@ -87,19 +85,19 @@ def lorentzian_pumps():
     return tuple(replace(p, shape="lorentzian") for p in pumps())
 
 
-def test_waveguide_matches_naive_quadrature():
+def test_waveguide_matches_naive_quadrature(oracle_quadrature):
     p1, p2 = pumps()
     grid = make_grid(1550.12e-9, 4e-9, 17)
-    fast = build_waveguide_jsa(p1, p2, waveguide(), grid, **ORACLE_QUADRATURE)
-    slow = naive_waveguide_jsa(p1, p2, waveguide(), grid, **ORACLE_QUADRATURE)
+    fast = build_waveguide_jsa(p1, p2, waveguide(), grid)
+    slow = naive_waveguide_jsa(p1, p2, waveguide(), grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL
 
 
-def test_ring_matches_naive_quadrature():
+def test_ring_matches_naive_quadrature(oracle_quadrature):
     p1, p2 = pumps()
     grid = make_grid(1550.12e-9, 0.8e-9, 21)
-    fast = build_ring_jsa(p1, p2, ring(), grid, **ORACLE_QUADRATURE)
-    slow = naive_ring_jsa(p1, p2, ring(), grid, **ORACLE_QUADRATURE)
+    fast = build_ring_jsa(p1, p2, ring(), grid)
+    slow = naive_ring_jsa(p1, p2, ring(), grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL
 
 
@@ -114,10 +112,10 @@ def test_ring_matches_naive_quadrature():
         ("series_branch", pumps(), WaveguideSource(1e-6, DispersionModel(W0, beta2=-2e-24)), 17),
     ],
 )
-def test_waveguide_oracle_cases(case, pump_pair, source, n_points):
+def test_waveguide_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points):
     grid = make_grid(1550.12e-9, 4e-9, n_points)
-    fast = build_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
-    slow = naive_waveguide_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    fast = build_waveguide_jsa(*pump_pair, source, grid)
+    slow = naive_waveguide_jsa(*pump_pair, source, grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL, case
 
 
@@ -126,7 +124,7 @@ SHORT_GUIDE = WaveguideSource(0.24e-3, DispersionModel(W0, beta2=-2e-24))
 
 def series_fraction(pump1, source, grid):
     """Fraction of (node, ws, wi) kernel entries with |x| below the series cutoff."""
-    nodes, _ = sources._pump_quadrature(pump1, 16, 8.0)
+    nodes, _ = sources._pump_quadrature(pump1)
     w = grid.points()
     k = lambda omega: k_of_omega(source.dispersion, omega)  # noqa: E731
     sums = w[:, None] + w[None, :]
@@ -166,10 +164,10 @@ def test_waveguide_node_blocks_agree(monkeypatch, case, pump_pair, source):
         ("detuned", pumps(), replace(ring(), detuning_p1=3 * ring().resonance("pump1").fwhm), 21),
     ],
 )
-def test_ring_oracle_cases(case, pump_pair, source, n_points):
+def test_ring_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points):
     grid = make_grid(1550.12e-9, 0.8e-9, n_points)
-    fast = build_ring_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
-    slow = naive_ring_jsa(*pump_pair, source, grid, **ORACLE_QUADRATURE)
+    fast = build_ring_jsa(*pump_pair, source, grid)
+    slow = naive_ring_jsa(*pump_pair, source, grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL, case
 
 
@@ -183,9 +181,9 @@ def test_ring_pump_sum_blocks_agree(monkeypatch):
         assert np.max(np.abs(values - default)) <= 1e-13 * scale, entries
 
 
-def all_node_product(pump1, pump2, grid, points_per_fwhm, halfwidth_fwhms):
+def all_node_product(pump1, pump2, grid):
     """``sources._pump_product`` on every quadrature node, none dropped."""
-    nodes, weights = sources._pump_quadrature(pump1, points_per_fwhm, halfwidth_fwhms)
+    nodes, weights = sources._pump_quadrature(pump1)
     sums = 2.0 * grid.omega_min + np.arange(2 * grid.n_points - 1) * grid.step
     product = pump_amplitude(pump2, sums[None, :] - nodes[:, None])
     product *= (weights * pump_amplitude(pump1, nodes))[:, None]
@@ -210,7 +208,7 @@ def test_node_trim_matches_every_node_at_default_quadrature(
     # 16 nodes per FWHM over +-8 FWHM: 257 nodes, of which these Gaussian pumps keep 106-125
     grid = make_grid(1550.12e-9, span, n_points)
     fast = build(*pumps(), source, grid)
-    assert sources._pump_product(*pumps(), grid, 16, 8.0)[0].size <= 125, case
+    assert sources._pump_product(*pumps(), grid)[0].size <= 125, case
     assert oracle_error(fast, naive(*pumps(), source, grid)) <= tol, case
     # the same kernel on all 257 nodes: the dropped ones are below the rounding
     monkeypatch.setattr(sources, "_pump_product", all_node_product)
@@ -218,8 +216,21 @@ def test_node_trim_matches_every_node_at_default_quadrature(
     assert np.max(np.abs(fast.values - every)) <= 1e-13 * np.max(np.abs(every)), case
 
 
+@pytest.mark.parametrize("points_per_fwhm, halfwidth_fwhms", [(8, 4.0), (16, 8.0), (32, 8.0)])
+@pytest.mark.parametrize("name", ["sipic1_waveguide_0p24mm", "sipic1_ring"])
+def test_norm2_bound_follows_the_quadrature(monkeypatch, points_per_fwhm, halfwidth_fwhms, name):
+    # the survival certificate and the builders read the same quadrature constants
+    monkeypatch.setattr(sources, "POINTS_PER_FWHM", points_per_fwhm)
+    monkeypatch.setattr(sources, "HALFWIDTH_FWHMS", halfwidth_fwhms)
+    sc = load_bundled(name)
+    grid = sc.grid(201)
+    build = build_ring_jsa if isinstance(sc.source, RingSource) else build_waveguide_jsa
+    whole = build(*sc.pumps, sc.source, grid)
+    assert whole.norm2_before <= sources.norm2_bound(*sc.pumps, grid)
+
+
 def test_lorentzian_pumps_keep_every_node():
-    nodes, _, _ = sources._pump_product(*lorentzian_pumps(), make_grid(1550.12e-9, 4e-9, 54), 16, 8.0)
+    nodes, _, _ = sources._pump_product(*lorentzian_pumps(), make_grid(1550.12e-9, 4e-9, 54))
     assert nodes.size == 257
 
 
@@ -229,9 +240,9 @@ def test_bundled_passbands_keep_106_to_107_nodes(name):
     grid = sc.grid()
     lo, hi = pipeline._passband_window(sample_filter(sc.filter_spec, grid))
     window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
-    nodes, sums, product = sources._pump_product(*sc.pumps, window, 16, 8.0)
+    nodes, sums, product = sources._pump_product(*sc.pumps, window)
     assert 106 <= nodes.size <= 107
-    every = all_node_product(*sc.pumps, window, 16, 8.0)
+    every = all_node_product(*sc.pumps, window)
     start = int(np.flatnonzero(every[0] == nodes[0])[0])
     # the kept rows are the all-node rows, bit for bit
     assert np.array_equal(product, every[2][start : start + nodes.size])
@@ -300,12 +311,6 @@ def test_ring_detuning_warning():
     )
     with pytest.warns(RingDetuningWarning):
         build_ring_jsa(p1, p2, detuned, make_grid(1550.12e-9, 1.2e-9, 41))
-
-
-def test_builder_rejects_coarse_pump_quadrature():
-    p1, p2 = pumps()
-    with pytest.raises(UnderResolvedError):
-        build_waveguide_jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 6e-9, 21), points_per_fwhm=4)
 
 
 def test_ring_resonance_narrower_than_two_grid_steps_is_rejected():
@@ -404,6 +409,19 @@ def test_jsa_shape_mismatch_rejected():
     grid = make_grid(1550.12e-9, 1e-9, 11)
     with pytest.raises(GridMismatchError):
         JointSpectralAmplitude(grid, np.zeros((11, 12), dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: WaveguideSource(float("nan"), waveguide().dispersion), id="length"),
+        pytest.param(lambda: replace(ring(), q_factor=float("nan")), id="q_factor"),
+        pytest.param(lambda: replace(ring(), fsr=float("nan")), id="fsr"),
+    ],
+)
+def test_nan_source_parameters_are_invalid(make):
+    with pytest.raises(InvalidArgumentError):
+        make()
 
 
 def test_source_validation():

@@ -122,6 +122,17 @@ def test_raised_cosine_taper_bounded():
     assert np.any((vals > 0.0) & (vals < 1.0))
 
 
+@pytest.mark.parametrize(
+    "center, bandwidth",
+    [(1550e-9, np.nan), (np.nan, 1e-9), (np.inf, 1e-9), (1550e-9, np.inf)],
+    ids=["bandwidth-nan", "center-nan", "center-inf", "bandwidth-inf"],
+)
+def test_filter_rejects_non_finite_center_and_bandwidth(center, bandwidth):
+    # sample_filter would otherwise fail with a plain ValueError converting nan to int
+    with pytest.raises(InvalidArgumentError):
+        FilterSpec(center, bandwidth)
+
+
 def test_filter_validation():
     with pytest.raises(InvalidArgumentError):
         FilterSpec(1550e-9, -1e-9)
