@@ -7,10 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
-from .sources import SERIAL_GEMM, JointSpectralAmplitude, sum_abs2
+from .sources import JointSpectralAmplitude, sum_abs2
 
 NORM_TOL = 1e-6
 TAIL_REL_TOL = 1e-12
+# OpenBLAS runs a matrix product with m*n*k <= SERIAL_GEMM on the calling thread; a
+# larger one wakes its workers, which spin for about 0.1 s and stall a caller sharing a core
+SERIAL_GEMM = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -43,21 +43,12 @@ SINC_SERIES_CUTOFF = 1e-4
 _BLOCK_ENTRIES = 1 << 15  # bounds the entries of one block of pump nodes x pairs
 # a filter passing less than this fraction of the L2 norm annihilates the spectrum
 MIN_SURVIVAL = 1e-12
-# OpenBLAS runs a dot product of at most SERIAL_DOT entries, a matrix-vector
-# product of at most SERIAL_GEMV entries and a matrix product with m*n*k <=
-# SERIAL_GEMM on the calling thread. A larger call wakes its worker threads,
-# which spin for about 0.1 s after it and stall the caller when they share a
-# core, so the norms and products here are taken in pieces of these sizes.
-SERIAL_DOT = 10000
-SERIAL_GEMV = 4095
-SERIAL_GEMM = 1 << 16
 
 
 def sum_abs2(values: np.ndarray) -> float:
-    """Sum of |v|^2 over every entry, as dot products of at most SERIAL_DOT entries."""
-    flat = values.reshape(-1)
-    runs = (flat[k : k + SERIAL_DOT] for k in range(0, flat.size, SERIAL_DOT))
-    return float(sum(np.vdot(run, run).real for run in runs))
+    """Sum of |v|^2 over every entry, in numpy's own loop: a BLAS dot may depend on the thread count."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1).view(float)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 @dataclass(frozen=True)
@@ -94,6 +85,17 @@ class RingSource:
             raise InvalidArgumentError(f"q_factor must be positive, got {self.q_factor}")
         if not self.fsr > 0:
             raise InvalidArgumentError(f"fsr must be positive, got {self.fsr}")
+        if not 0 < self.center_wavelength < np.inf:
+            raise InvalidArgumentError(
+                f"center_wavelength must be finite and positive, got {self.center_wavelength}"
+            )
+        index = self.pump_comb_index
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)) or index < 1:
+            raise InvalidArgumentError(f"pump_comb_index must be an integer >= 1, got {index!r}")
+        if not np.isfinite([self.detuning_p1, self.detuning_p2]).all():
+            raise InvalidArgumentError(
+                f"detuning_p1 and detuning_p2 must be finite, got {self.detuning_p1}, {self.detuning_p2}"
+            )
 
     def resonance(self, which: str) -> "RingResonance":
         if which == "signal" or which == "idler":
@@ -343,10 +345,8 @@ def _ring_factors(pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: Freq
             )
     nodes, sums, product = _pump_product(pump1, pump2, grid)
     product *= res_p2.amplitude(sums[None, :] - nodes[:, None])
-    # h = l_p1(nodes) @ product, a few sums at a time to stay within SERIAL_GEMV
-    lor_p1 = res_p1.amplitude(nodes)
-    cols = max(1, SERIAL_GEMV // nodes.size)
-    h = np.concatenate([lor_p1 @ product[:, k : k + cols] for k in range(0, sums.size, cols)])
+    # h = l_p1(nodes) @ product, in numpy's own loop rather than a BLAS call
+    h = np.einsum("n,nm->m", res_p1.amplitude(nodes), product)
     return h, res_s.amplitude(grid.points())
 
 
@@ -361,10 +361,15 @@ def build_ring_jsa(
     Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
     """
     h, lor = _ring_factors(pump1, pump2, ring, grid)
-    s, i = np.triu_indices(grid.n_points)
-    upper = lor[s] * lor[i]
-    upper *= h[s + i]
-    return _normalize(grid, _mirror(grid.n_points, s, i, upper), "ring builder")
+    re, im = lor.real, lor.imag
+    cross = np.multiply.outer(re, im)
+    # l(s) * l(i) from real outer products, symmetric bit for bit as a complex one need not be
+    values = np.empty(cross.shape, dtype=complex)
+    np.multiply.outer(re, re, out=values.real)
+    values.real -= np.multiply.outer(im, im)
+    np.add(cross, cross.T, out=values.imag)
+    values *= np.lib.stride_tricks.sliding_window_view(h, lor.size)  # h[s + i], a Hankel view
+    return _normalize(grid, values, "ring builder")
 
 
 def _require_survival(survival: float, min_survival: float) -> float:
@@ -414,7 +419,6 @@ def ring_filter_survival(
     weight = np.abs(h) ** 2
     q = np.abs(lor) ** 2
     passed = q * sample_filter(spec, grid) ** 2
-    # a pairwise sum, not a dot over the 2N-1 sums, which would exceed SERIAL_DOT above 5000 points
     total = float(np.sum(weight * np.convolve(q, q)))
     _require_norm2(total * grid.step * grid.step, "ring builder")
     return _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total, MIN_SURVIVAL)

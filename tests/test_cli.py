@@ -194,8 +194,11 @@ def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
         ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: raised_cosine, rolloff: -0.5}\n",
          r"filter: rolloff must be in \[0, 1\]"),
         ("grid: {span_nm: 5000, points: 61}\n", "grid: span too large"),
+        # 1e-320 nm is positive but underflows to a 0 m resonance
+        ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1.0e-320}\n",
+         "source2: center_wavelength must be finite and positive"),
     ],
-    ids=["rolloff_2", "rolloff_-0.5", "span_5000"],
+    ids=["rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow"],
 )
 def test_main_domain_constructor_error_exits_two(tmp_path, capsys, section, message):
     path = tmp_path / "bad_domain.yaml"

@@ -1,7 +1,9 @@
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from biphoton import pipeline, sources
 from biphoton.dispersion import DispersionModel, k_of_omega
@@ -22,7 +24,7 @@ from biphoton.sources import (
     filter_survival,
     jsi,
 )
-from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled
+from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, scenario_from_dict
 from biphoton.spectral import (
     FilterSpec,
     FrequencyGrid,
@@ -171,14 +173,39 @@ def test_ring_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points)
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL, case
 
 
-def test_ring_pump_sum_blocks_agree(monkeypatch):
-    grid = make_grid(1550.12e-9, 0.8e-9, 41)
-    default = build_ring_jsa(*pumps(), ring(), grid).values
-    scale = np.max(np.abs(default))
-    for entries in (1, 1 << 40):  # one sum per product, every sum in one product
-        monkeypatch.setattr(sources, "SERIAL_GEMV", entries)
-        values = build_ring_jsa(*pumps(), ring(), grid).values
-        assert np.max(np.abs(values - default)) <= 1e-13 * scale, entries
+@pytest.mark.parametrize("n_points", [201, 401, 801])
+@pytest.mark.parametrize("name", ["sipic1_ring", "sipic2_ring"])
+def test_ring_jsa_is_the_mirrored_triangle_of_its_factors(name, n_points):
+    sc = load_bundled(name)
+    grid = sc.grid(n_points)
+    values = build_ring_jsa(*sc.pumps, sc.source, grid).values
+    assert np.array_equal(values, values.T)
+    # h[s + i] * l[s] * l[i] on s <= i, mirrored, from the same factors
+    h, lor = sources._ring_factors(*sc.pumps, sc.source, grid)
+    s, i = np.triu_indices(n_points)
+    reference = np.empty((n_points, n_points), dtype=complex)
+    reference[s, i] = reference[i, s] = lor[s] * lor[i] * h[s + i]
+    reference /= np.sqrt(np.sum(np.abs(reference) ** 2) * grid.step**2)
+    assert np.max(np.abs(values - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("name", ["sipic1_waveguide_15mm", "sipic2_waveguide_15mm"])
+def test_dispersionless_waveguide_is_the_closed_form_pump_convolution(name):
+    # beta2 = beta3 = 0 makes the kernel 1, and two Gaussian pumps of width
+    # sigma convolve to exp(-(S/2 - mean pump)^2 / sigma^2) on S = ws + wi
+    data = yaml.safe_load(resources.files("biphoton.scenarios").joinpath(f"{name}.yaml").read_text())
+    data["source"].update(beta2_s2_per_m=0.0, beta3_s3_per_m=0.0)
+    sc = scenario_from_dict(data, name)
+    p1, p2 = sc.pumps
+    assert p1.linewidth_fwhm == p2.linewidth_fwhm
+    grid = sc.grid(201)
+    values = build_waveguide_jsa(p1, p2, sc.source, grid).values
+    sigma = p1.linewidth_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    w = grid.points()
+    half_sum = (w[:, None] + w[None, :]) / 2.0
+    exact = np.exp(-(((half_sum - (p1.center_omega + p2.center_omega) / 2.0) / sigma) ** 2))
+    exact /= np.sqrt(np.sum(exact**2) * grid.step**2)
+    assert np.max(np.abs(values - exact)) <= 1e-11 * np.max(exact)
 
 
 def all_node_product(pump1, pump2, grid):
@@ -275,17 +302,18 @@ def test_nan_pump_center_is_degenerate(which):
         build_ring_jsa(*lines, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
-@pytest.mark.parametrize("size", [1, 54 * 54, sources.SERIAL_DOT, sources.SERIAL_DOT + 1, 401 * 401])
+@pytest.mark.parametrize("size", [1, 54 * 54, 401 * 401])
 def test_sum_abs2_in_runs(size):
     rng = np.random.default_rng(size)
     values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     total = sources.sum_abs2(values)
-    if size <= sources.SERIAL_DOT:
-        # one run: the plain dot product, bit for bit
-        assert total == np.vdot(values, values).real
     assert total == pytest.approx(np.sum(np.abs(values) ** 2), rel=1e-13)
     if size == 401 * 401:
-        assert sources.sum_abs2(values.reshape(401, 401)) == total
+        block = values.reshape(401, 401)
+        assert sources.sum_abs2(block) == total
+        # a non-contiguous block: every other column
+        columns = block[:, ::2]
+        assert sources.sum_abs2(columns) == pytest.approx(np.sum(np.abs(columns) ** 2), rel=1e-13)
 
 
 def test_ring_resonance_comb_placement():
@@ -422,6 +450,25 @@ def test_jsa_shape_mismatch_rejected():
 def test_nan_source_parameters_are_invalid(make):
     with pytest.raises(InvalidArgumentError):
         make()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("center_wavelength", 0.0),
+        ("center_wavelength", float("nan")),
+        ("center_wavelength", float("inf")),
+        ("center_wavelength", -1550e-9),
+        ("pump_comb_index", 0),
+        ("pump_comb_index", 1.5),
+        ("pump_comb_index", True),
+        ("detuning_p1", float("nan")),
+        ("detuning_p2", float("inf")),
+    ],
+)
+def test_bad_ring_geometry_is_invalid(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        replace(ring(), **{field: value})
 
 
 def test_source_validation():
