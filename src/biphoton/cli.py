@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from . import pipeline
 from .errors import BiphotonError, ConfigError
-from .pipeline import TABLE1_ROWS, build_jsa  # re-exported as part of the cli API
+# re-exported as part of the cli API; a filtered build_jsa is on the filter passband sub-grid
+from .pipeline import TABLE1_ROWS, build_jsa
 from .scenario import BUNDLED_SCENARIOS, Scenario, load_bundled, load_scenario
 
 

@@ -19,14 +19,13 @@ from .schmidt import (
 )
 from .sources import (
     MIN_SURVIVAL,
-    JointSpectralAmplitude,
     RingSource,
     WaveguideSource,
+    _normalize,
     apply_filter,
     build_ring_jsa,
     build_waveguide_jsa,
     filter_survival,
-    jsi,
     norm2_bound,
     ring_filter_survival,
 )
@@ -63,23 +62,26 @@ def _passband_window(samples: np.ndarray):
     return lo, hi
 
 
-def _windowed_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """(JSA, lo): the normalized JSA on the filter passband, or on the scenario grid (lo None).
+def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
+    """The scenario's normalized JSA: on the filter passband when filtered, else on the scenario grid.
 
     A filtered JSA is zero outside the filter passband, so the builder runs
     on the passband sub-grid only (the same points as the scenario grid,
-    from index lo) and the filter, sampled once on the scenario grid, is
-    multiplied into that block. Filtering on the whole grid raises when the
-    filter passes less than MIN_SURVIVAL of the norm. The block keeps that
-    rule exactly: its filtered norm over ``norm2_bound`` is a lower bound on
-    the survival, and where that bound cannot clear MIN_SURVIVAL the JSA is
-    built on the whole grid and filtered there.
+    from index lo to hi) and the filter, sampled once on the scenario grid,
+    is multiplied into that block. Filtering on the whole grid raises when
+    the filter passes less than MIN_SURVIVAL of the norm. The block keeps
+    that rule exactly: its filtered norm over ``norm2_bound`` is a lower
+    bound on the survival, and where that bound cannot clear MIN_SURVIVAL
+    the JSA is built and filtered on the whole grid, then cut to the same
+    passband and renormalized there. So every filtered JSA of a scenario
+    sits on one passband grid; only ``joint_intensity`` puts it back in the
+    scenario grid's frame.
     """
     source = source or scenario.source
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec if filtered else None
     if spec is None:
-        return _source_jsa(scenario, source, grid), None
+        return _source_jsa(scenario, source, grid)
     samples = sample_filter(spec, grid)
     lo, hi = _passband_window(samples)
     start = grid.omega_min + lo * grid.step
@@ -88,26 +90,11 @@ def _windowed_jsa(scenario: Scenario, source=None, n_points: int = None, filtere
         part = _source_jsa(scenario, source, window)
         bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
         min_survival = MIN_SURVIVAL * bound / part.norm2_before
-        return apply_filter(part, spec, min_survival, samples[lo : hi + 1]), lo
+        return apply_filter(part, spec, min_survival, samples[lo : hi + 1])
     except DegenerateInputError:
         # the window is all zero or cannot certify the survival: the whole grid decides
-        return apply_filter(_source_jsa(scenario, source, grid), spec, samples=samples), None
-
-
-def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """The scenario's JSA (``_windowed_jsa``) on the scenario grid, the passband block embedded."""
-    grid = scenario.grid(n_points)
-    block, lo = _windowed_jsa(scenario, source, n_points, filtered)
-    if lo is None:
-        return block
-    # the block has unit norm on the window's step, which rounding puts a
-    # little off the scenario grid's (5e-11 relative on a 2-point window)
-    scale = block.grid.step / grid.step
-    hi = lo + block.grid.n_points
-    values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-    values[lo:hi, lo:hi] = block.values * scale
-    norm2 = block.norm2_before / scale**2
-    return JointSpectralAmplitude(grid, values, norm_applied=True, norm2_before=norm2)
+        whole = apply_filter(_source_jsa(scenario, source, grid), spec, samples=samples)
+        return _normalize(window, whole.values[lo : hi + 1, lo : hi + 1].copy(), "filtering")
 
 
 def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
@@ -125,15 +112,26 @@ def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = 
 
 
 def joint_intensity(scenario: Scenario, n_points: int = None, filtered: bool = True):
-    """Grid wavelengths [nm], shared by signal and idler, and the JSI on that grid."""
-    out = build_jsa(scenario, n_points=n_points, filtered=filtered)
-    return out.grid.wavelengths() * 1e9, jsi(out)
+    """Grid wavelengths [nm], shared by signal and idler, and the JSI on the scenario grid.
+
+    A filtered JSA lives on its passband; its JSI is placed in the scenario
+    grid's frame, zero outside the passband.
+    """
+    grid = scenario.grid(n_points)
+    jsa = build_jsa(scenario, n_points=n_points, filtered=filtered)
+    lo = round((jsa.grid.omega_min - grid.omega_min) / grid.step)
+    hi = lo + jsa.grid.n_points
+    # the block has unit norm on the window's step, which rounding puts a
+    # little off the scenario grid's (5e-11 relative on a 2-point window)
+    scale = jsa.grid.step / grid.step
+    intensity = np.zeros((grid.n_points, grid.n_points))
+    intensity[lo:hi, lo:hi] = np.abs(jsa.values * scale) ** 2
+    return grid.wavelengths() * 1e9, intensity
 
 
 def schmidt_spectrum(scenario: Scenario, n_points: int = None, filtered: bool = True):
     """The Schmidt spectrum of the scenario's JSA, decomposed on the filter passband."""
-    block, _ = _windowed_jsa(scenario, n_points=n_points, filtered=filtered)
-    return schmidt_decompose(block)
+    return schmidt_decompose(build_jsa(scenario, n_points=n_points, filtered=filtered))
 
 
 def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
@@ -203,6 +201,6 @@ def table1(n_points: int = None) -> list:
     """
     rows = []
     for label, name, observed_v in TABLE1_ROWS:
-        block, _ = _windowed_jsa(load_bundled(name), n_points=n_points)
-        rows.append((label, observed_v, purity(block), overlap_from_visibility(observed_v)))
+        jsa = build_jsa(load_bundled(name), n_points=n_points)
+        rows.append((label, observed_v, purity(jsa), overlap_from_visibility(observed_v)))
     return rows

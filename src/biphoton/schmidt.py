@@ -20,8 +20,8 @@ SERIAL_GEMM = 1 << 16
 class SchmidtSpectrum:
     """Nonincreasing Schmidt coefficients r, summing to 1.
 
-    There is one coefficient per row or column of the JSA's non-zero
-    block, whichever is fewer (see ``schmidt_decompose``).
+    There is one coefficient per grid point of the JSA (see
+    ``schmidt_decompose``).
     """
 
     coefficients: np.ndarray
@@ -56,57 +56,40 @@ class OverlapResult:
     phase: float
 
 
-def _passband(jsa: JointSpectralAmplitude) -> np.ndarray:
-    """The JSA values over the rows and columns holding a non-zero entry.
-
-    A filtered JSA is exactly zero outside the filter passband, and zero
-    rows and columns add only zero singular values, so this block has the
-    same non-zero Schmidt spectrum as the full matrix. An unfiltered JSA
-    keeps every row and column (and is not copied).
-    """
-    rows = np.flatnonzero(np.any(jsa.values, axis=1))
-    cols = np.flatnonzero(np.any(jsa.values, axis=0))
-    block = jsa.values
-    if rows.size < block.shape[0] or cols.size < block.shape[1]:
-        block = block[np.ix_(rows, cols)]
-    return block
-
-
 def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
     """Schmidt coefficients of a normalized JSA from a values-only SVD.
 
-    r are the squared singular values of F * step over the rows and
-    columns with a non-zero entry, sorted nonincreasing; there are
-    min(rows, cols) of them.
+    r are the squared singular values of F * step, sorted nonincreasing,
+    one per grid point. A filtered JSA comes on its passband
+    (``pipeline.build_jsa``), so the SVD runs on that block as built.
     """
     _require_normalized(jsa)
-    s = np.linalg.svd(_passband(jsa) * np.sqrt(jsa.measure), compute_uv=False)
+    s = np.linalg.svd(jsa.values * np.sqrt(jsa.measure), compute_uv=False)
     return SchmidtSpectrum(coefficients=s**2)
 
 
 def purity(jsa: JointSpectralAmplitude) -> float:
     """Heralded-photon spectral purity Tr rho^2 = ||B^H B||_F^2 of a normalized JSA, no SVD.
 
-    B is F * step over the non-zero block (``_passband``). B^H B is formed
-    in t x t tiles with t^2 * rows <= SERIAL_GEMM, so that BLAS keeps each
-    product on the calling thread, and, B^H B being Hermitian, only on and
-    above its diagonal. This equals ``SchmidtSpectrum.purity`` to rounding, about
-    1e-15 relative.
+    B is F * step, n x n. B^H B is formed in t x t tiles with
+    t^2 * n <= SERIAL_GEMM, so that BLAS keeps each product on the calling
+    thread, and, B^H B being Hermitian, only on and above its diagonal.
+    This equals ``SchmidtSpectrum.purity`` to rounding, about 1e-15
+    relative.
     """
     _require_normalized(jsa)
-    block = _passband(jsa)
-    rows, cols = block.shape
+    n = jsa.grid.n_points
     # a multiple of 4 columns suits OpenBLAS's complex kernels: 12 runs about
-    # a quarter faster than 15 on a 267-row passband
-    t = max(1, min(cols, 4 * (math.isqrt(SERIAL_GEMM // rows) // 4)))
-    n = -(-cols // t)
-    # zero columns pad B to n tiles; they add nothing to B^H B
-    padded = np.zeros((rows, n * t), dtype=complex)
-    padded[:, :cols] = block
-    tiles = padded.reshape(rows, n, t).transpose(1, 0, 2)
+    # a quarter faster than 15 on a 267-point passband
+    t = max(1, min(n, 4 * (math.isqrt(SERIAL_GEMM // n) // 4)))
+    count = -(-n // t)
+    # zero columns pad B to count tiles; they add nothing to B^H B
+    padded = np.zeros((n, count * t), dtype=complex)
+    padded[:, :n] = jsa.values
+    tiles = padded.reshape(n, count, t).transpose(1, 0, 2)
     adjoint = tiles.conj().transpose(0, 2, 1)
     total = 0.0
-    for j in range(n):
+    for j in range(count):
         gram = adjoint[j] @ tiles[j:]  # the tiles (j, j), (j, j + 1), ... of B^H B
         total += sum_abs2(gram[0]) + 2.0 * sum_abs2(gram[1:])
     return total * jsa.measure**2

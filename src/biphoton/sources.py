@@ -96,6 +96,12 @@ class RingSource:
             raise InvalidArgumentError(
                 f"detuning_p1 and detuning_p2 must be finite, got {self.detuning_p1}, {self.detuning_p2}"
             )
+        for which in ("pump1", "pump2"):
+            lam = self.resonance(which).center_wavelength
+            if not lam > 0:
+                raise InvalidArgumentError(
+                    f"the {which} resonance must be at a positive wavelength, got {lam} m"
+                )
 
     def resonance(self, which: str) -> "RingResonance":
         if which == "signal" or which == "idler":

@@ -18,7 +18,6 @@ from biphoton.cli import (
     read_jsi,
 )
 from biphoton.scenario import load_bundled
-from biphoton.sources import jsi
 
 RING = "sipic1_ring"
 N_SMALL = 61
@@ -29,7 +28,7 @@ def test_jsi_round_trips_bit_exactly(tmp_path):
     path = tmp_path / "jsi.csv"
     cmd_jsi(scenario, str(path), n_points=N_SMALL)
     grid = read_jsi(str(path))
-    reference = jsi(build_jsa(scenario, n_points=N_SMALL))
+    _, reference = pipeline.joint_intensity(scenario, N_SMALL)
     assert grid.shape == (N_SMALL, N_SMALL)
     assert np.array_equal(grid, reference)
 
@@ -197,8 +196,13 @@ def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
         # 1e-320 nm is positive but underflows to a 0 m resonance
         ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1.0e-320}\n",
          "source2: center_wavelength must be finite and positive"),
+        # 600 FSRs below 1550.12 nm is -265 nm
+        ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, pump_comb_index: 600}\n",
+         "source2: the pump1 resonance must be at a positive wavelength"),
+        ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, detuning_p2_nm: -1600}\n",
+         "source2: the pump2 resonance must be at a positive wavelength"),
     ],
-    ids=["rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow"],
+    ids=["rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow", "pump1_negative", "pump2_negative"],
 )
 def test_main_domain_constructor_error_exits_two(tmp_path, capsys, section, message):
     path = tmp_path / "bad_domain.yaml"

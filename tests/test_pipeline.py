@@ -10,7 +10,7 @@ from biphoton import pipeline
 from biphoton.cli import main
 from biphoton.errors import DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
-from biphoton.schmidt import purity, schmidt_decompose
+from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
 from biphoton.sources import (
     MIN_SURVIVAL,
     JointSpectralAmplitude,
@@ -19,6 +19,7 @@ from biphoton.sources import (
     filter_survival,
     norm2_bound,
     ring_filter_survival,
+    sum_abs2,
 )
 from biphoton.spectral import FilterSpec, FrequencyGrid, omega_to_wavelength, sample_filter
 
@@ -42,18 +43,36 @@ def with_filter(scenario, spec):
     return dataclasses.replace(scenario, filter_spec=spec)
 
 
+def passband(scenario, n_points):
+    """(lo, hi, grid): the filter passband's first and last scenario-grid index, and its sub-grid."""
+    grid = scenario.grid(n_points)
+    lo, hi = pipeline._passband_window(sample_filter(scenario.filter_spec, grid))
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    return lo, hi, window
+
+
+def cut_to_passband(scenario, n_points, jsa):
+    """The values of a filtered whole-grid JSA on the passband; it is zero elsewhere."""
+    lo, hi, _ = passband(scenario, n_points)
+    cut = jsa.values[lo : hi + 1, lo : hi + 1]
+    assert np.count_nonzero(cut) == np.count_nonzero(jsa.values)
+    return cut
+
+
 def assert_matches_whole_grid(scenario, n_points):
     """The windowed JSA, and a ring's survival from its factors, against the whole-grid build."""
     windowed = pipeline.build_jsa(scenario, n_points=n_points)
     unfiltered = pipeline.build_jsa(scenario, n_points=n_points, filtered=False)
     reference = apply_filter(unfiltered, scenario.filter_spec)
-    assert windowed.grid == reference.grid
+    assert windowed.grid == passband(scenario, n_points)[2]
     expected = schmidt_decompose(reference).purity
     assert schmidt_decompose(windowed).purity == pytest.approx(expected, rel=1e-11, abs=0.0)
-    scale = np.max(np.abs(reference.values))
-    assert np.max(np.abs(windowed.values - reference.values)) <= 1e-9 * scale
+    cut = cut_to_passband(scenario, n_points, reference)
+    scale = np.max(np.abs(cut))
+    assert np.max(np.abs(windowed.values - cut)) <= 1e-9 * scale
     if isinstance(scenario.source, RingSource):
-        survival = ring_filter_survival(*scenario.pumps, scenario.source, windowed.grid, scenario.filter_spec)
+        grid = scenario.grid(n_points)
+        survival = ring_filter_survival(*scenario.pumps, scenario.source, grid, scenario.filter_spec)
         expected = filter_survival(unfiltered, scenario.filter_spec)
         assert survival == pytest.approx(expected, rel=1e-12, abs=0.0)
     return windowed
@@ -104,8 +123,10 @@ def test_one_point_passband(index):
     scenario = one_point_filter(load_bundled(RING), index, 201)
     assert np.count_nonzero(sample_filter(scenario.filter_spec, scenario.grid(201))) == 1
     windowed = assert_matches_whole_grid(scenario, 201)
+    lo = passband(scenario, 201)[0]
+    assert windowed.values.shape == (2, 2)  # widened to 2 points
     assert np.count_nonzero(windowed.values) == 1
-    assert windowed.values[index, index] != 0
+    assert windowed.values[index - lo, index - lo] != 0
 
 
 @pytest.mark.parametrize("index, window", [(0, (0, 1)), (200, (199, 200))])
@@ -166,11 +187,47 @@ def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, caps
     monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
     windowed = pipeline.build_jsa(scenario)
     assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
-    purity = schmidt_decompose(windowed).purity
     monkeypatch.undo()
-    assert purity == schmidt_decompose(whole_grid(scenario, None)).purity
+    # the whole grid's filtered values, cut to the passband and renormalized there
+    reference = whole_grid(scenario, None)
+    window = passband(scenario, None)[2]
+    assert windowed.grid == window
+    cut = cut_to_passband(scenario, None, reference)
+    expected = cut / np.sqrt(sum_abs2(cut) * window.step * window.step)
+    assert np.array_equal(windowed.values, expected)
+    purity = schmidt_decompose(windowed).purity
+    assert purity == pytest.approx(schmidt_decompose(reference).purity, rel=1e-12, abs=0.0)
     assert main(["stats", "--scenario", scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER)]) == 0
     assert "n_modes=" in capsys.readouterr().out
+
+
+def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monkeypatch):
+    # the 15 mm guide falls back to the whole grid; the 0.24 mm guide is certified on its window
+    scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
+    scenario = dataclasses.replace(scenario, source2=load_bundled("sipic1_waveguide_0p24mm").source)
+    sizes = []
+
+    def spy(pump1, pump2, source, grid, *args, **kwargs):
+        sizes.append((source.length, grid.n_points))
+        return build(pump1, pump2, source, grid, *args, **kwargs)
+
+    build = pipeline.build_waveguide_jsa
+    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    jsa1 = pipeline.build_jsa(scenario, scenario.source)
+    jsa2 = pipeline.build_jsa(scenario, scenario.source2)
+    monkeypatch.undo()
+    short, long = scenario.source2.length, scenario.source.length
+    assert sizes == [(long, 52), (long, 201), (short, 52)]
+    assert jsa1.grid == jsa2.grid == passband(scenario, None)[2]
+    overlap = pipeline.scenario_overlap(scenario)
+    spec = scenario.filter_spec
+    whole1, whole2 = (
+        apply_filter(pipeline.build_jsa(scenario, source, filtered=False), spec)
+        for source in (scenario.source, scenario.source2)
+    )
+    expected = jsa_overlap(whole1, whole2).magnitude
+    assert overlap.magnitude == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert 0.0 < overlap.magnitude < 1.0
 
 
 def test_purity_survival_is_the_whole_grid_survival():
@@ -204,8 +261,7 @@ def embedded_then_filtered(scenario, n_points):
     grid, then filtered on the whole grid with the same certificate and fallback."""
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec
-    lo, hi = pipeline._passband_window(sample_filter(spec, grid))
-    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    lo, hi, window = passband(scenario, n_points)
     try:
         part = pipeline._source_jsa(scenario, scenario.source, window)
         values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
@@ -288,16 +344,15 @@ def test_block_filtering_with_filter_edges_midway_between_grid_points(
         for sign in (1, -1)
     )
     spec = FilterSpec((lam_lo + lam_hi) / 2.0, lam_hi - lam_lo)
-    samples = sample_filter(spec, grid)
-    lo, hi = pipeline._passband_window(samples)
-    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
-    assert not np.array_equal(sample_filter(spec, window), samples[lo : hi + 1])
-    assert_block_filtering_decides_alike(with_filter(scenario, spec), n_points, monkeypatch, "window")
+    scenario = with_filter(scenario, spec)
+    lo, hi, window = passband(scenario, n_points)
+    assert not np.array_equal(sample_filter(spec, window), sample_filter(spec, grid)[lo : hi + 1])
+    assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, "window")
 
 
 def assert_purities_agree(scenario, n_points, table1_purity=None):
     """purity_report, the Schmidt spectrum's sum of r^2 and Tr rho^2 of the
-    embedded JSA agree; so does table1's purity, where given."""
+    passband JSA agree; so does table1's purity, where given."""
     expected = pipeline.schmidt_spectrum(scenario, n_points).purity
     others = [pipeline.purity_report(scenario, n_points)["purity"]]
     others.append(purity(pipeline.build_jsa(scenario, n_points=n_points)))
@@ -315,8 +370,8 @@ def test_table1_purity_matches_schmidt_spectrum(n_points):
 
 def test_purities_agree_on_whole_grid_fallback(tmp_path):
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
-    block, lo = pipeline._windowed_jsa(scenario)
-    assert lo is None and block.grid == scenario.grid()
+    # the whole-grid fallback, cut to the same passband grid as a certified window
+    assert pipeline.build_jsa(scenario).grid == passband(scenario, None)[2]
     assert_purities_agree(scenario, None)
 
 

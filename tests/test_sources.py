@@ -471,6 +471,19 @@ def test_bad_ring_geometry_is_invalid(field, value):
         replace(ring(), **{field: value})
 
 
+@pytest.mark.parametrize(
+    "which, fields",
+    [
+        ("pump1", {"pump_comb_index": 600}),  # -265 nm
+        ("pump1", {"detuning_p1": -1600e-9}),
+        ("pump2", {"detuning_p2": -1600e-9}),
+    ],
+)
+def test_pump_resonance_at_non_positive_wavelength_is_invalid(which, fields):
+    with pytest.raises(InvalidArgumentError, match=f"the {which} resonance must be at a positive wavelength"):
+        replace(ring(), **fields)
+
+
 def test_source_validation():
     with pytest.raises(InvalidArgumentError):
         WaveguideSource(length=-1.0, dispersion=waveguide().dispersion)
