@@ -34,7 +34,6 @@ from .sources import (
     apply_filter,
     build_ring_jsa,
     build_waveguide_jsa,
-    jsi,
 )
 from .schmidt import (
     OverlapResult,

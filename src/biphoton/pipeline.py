@@ -26,8 +26,8 @@ from .sources import (
     build_ring_jsa,
     build_waveguide_jsa,
     filter_survival,
+    filtered_ring_block,
     norm2_bound,
-    ring_filter_survival,
 )
 from .spectral import FrequencyGrid, sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
@@ -62,39 +62,41 @@ def _passband_window(samples: np.ndarray):
     return lo, hi
 
 
-def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """The scenario's normalized JSA: on the filter passband when filtered, else on the scenario grid.
+def _filtered_jsa(scenario: Scenario, source, n_points: int):
+    """(JSA, survival): the filtered JSA, normalized on the passband sub-grid.
 
-    A filtered JSA is zero outside the filter passband, so the builder runs
-    on the passband sub-grid only (the same points as the scenario grid,
-    from index lo to hi) and the filter, sampled once on the scenario grid,
-    is multiplied into that block. Filtering on the whole grid raises when
-    the filter passes less than MIN_SURVIVAL of the norm. The block keeps
-    that rule exactly: its filtered norm over ``norm2_bound`` is a lower
-    bound on the survival, and where that bound cannot clear MIN_SURVIVAL
-    the JSA is built and filtered on the whole grid, then cut to the same
-    passband and renormalized there. So every filtered JSA of a scenario
-    sits on one passband grid; only ``joint_intensity`` puts it back in the
-    scenario grid's frame.
+    The passband is scenario-grid points lo to hi, where the filter is
+    sampled; filtering raises below MIN_SURVIVAL of the whole grid's norm.
+    A ring takes the block and that survival from one evaluation of its
+    factors. A waveguide is built on the passband (survival None): its
+    filtered norm over ``norm2_bound`` bounds the survival from below, and
+    where that cannot clear MIN_SURVIVAL the whole grid is built and
+    filtered, then cut to the passband and renormalized there.
     """
-    source = source or scenario.source
     grid = scenario.grid(n_points)
-    spec = scenario.filter_spec if filtered else None
-    if spec is None:
-        return _source_jsa(scenario, source, grid)
+    spec = scenario.filter_spec
     samples = sample_filter(spec, grid)
     lo, hi = _passband_window(samples)
-    start = grid.omega_min + lo * grid.step
-    window = FrequencyGrid(start, grid.omega_min + hi * grid.step, hi - lo + 1)
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    if isinstance(source, RingSource):
+        values, survival = filtered_ring_block(*scenario.pumps, source, grid, samples, lo, hi)
+        return _normalize(window, values, "filtering"), survival
     try:
         part = _source_jsa(scenario, source, window)
-        bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-        min_survival = MIN_SURVIVAL * bound / part.norm2_before
-        return apply_filter(part, spec, min_survival, samples[lo : hi + 1])
+        min_survival = MIN_SURVIVAL * norm2_bound(*scenario.pumps, grid) / part.norm2_before
+        return apply_filter(part, spec, min_survival, samples[lo : hi + 1]), None
     except DegenerateInputError:
         # the window is all zero or cannot certify the survival: the whole grid decides
         whole = apply_filter(_source_jsa(scenario, source, grid), spec, samples=samples)
-        return _normalize(window, whole.values[lo : hi + 1, lo : hi + 1].copy(), "filtering")
+        return _normalize(window, whole.values[lo : hi + 1, lo : hi + 1].copy(), "filtering"), None
+
+
+def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
+    """The scenario's normalized JSA: on the filter passband when filtered, else on the scenario grid."""
+    source = source or scenario.source
+    if filtered and scenario.filter_spec is not None:
+        return _filtered_jsa(scenario, source, n_points)[0]
+    return _source_jsa(scenario, source, scenario.grid(n_points))
 
 
 def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
@@ -138,18 +140,20 @@ def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
     """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
 
     Survival is the fraction of the unfiltered JSA's norm, over the whole
-    grid, that the filter passes. A ring's survival comes from the factors
-    of its JSA (``ring_filter_survival``), with no whole-grid build; a
-    waveguide's unfiltered JSA is built on the whole grid and released
-    before the filtered one, so the two are never held together.
+    grid, that the filter passes. A ring's comes with its filtered JSA from
+    one evaluation of its factors; a waveguide's unfiltered JSA is built on
+    the whole grid and released before the filtered one, so the two are
+    never held together.
     """
-    survival = 1.0
     spec = scenario.filter_spec if filtered else None
-    if spec is not None and isinstance(scenario.source, RingSource):
-        survival = ring_filter_survival(*scenario.pumps, scenario.source, scenario.grid(n_points), spec)
-    elif spec is not None:
+    if spec is None:
+        jsa, survival = build_jsa(scenario, n_points=n_points, filtered=False), 1.0
+    elif isinstance(scenario.source, RingSource):
+        jsa, survival = _filtered_jsa(scenario, scenario.source, n_points)
+    else:
         survival = filter_survival(build_jsa(scenario, n_points=n_points, filtered=False), spec)
-    spectrum = schmidt_spectrum(scenario, n_points, filtered)
+        jsa = _filtered_jsa(scenario, scenario.source, n_points)[0]
+    spectrum = schmidt_decompose(jsa)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 
 

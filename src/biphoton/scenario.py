@@ -23,8 +23,6 @@ from .errors import ConfigError, InvalidArgumentError
 from .spectral import FilterSpec, FrequencyGrid, PumpLine, make_grid, wavelength_to_omega
 from .sources import RingSource, WaveguideSource
 
-SCHEMA_VERSION = 1
-
 # libyaml's safe loader where PyYAML was built with it (same resolver, about 5x faster)
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _GHZ = 2.0 * np.pi * 1e9  # linewidths are quoted as ordinary-frequency FWHM

@@ -173,11 +173,6 @@ class JointSpectralAmplitude:
         return sum_abs2(self.values) * self.measure
 
 
-def jsi(jsa: JointSpectralAmplitude) -> np.ndarray:
-    """Joint spectral intensity |F|^2 (elementwise)."""
-    return np.abs(jsa.values) ** 2
-
-
 def _pump_quadrature(line: PumpLine):
     """Trapezoid nodes/weights on +-HALFWIDTH_FWHMS FWHM around one pump line."""
     n = int(round(2 * HALFWIDTH_FWHMS * POINTS_PER_FWHM)) + 1
@@ -356,6 +351,19 @@ def _ring_factors(pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: Freq
     return h, res_s.amplitude(grid.points())
 
 
+def _ring_values(h: np.ndarray, lor: np.ndarray) -> np.ndarray:
+    """l(s) * l(i) * h[s + i] on the n points of ``lor``, ``h`` on their 2n-1 sums."""
+    re, im = lor.real, lor.imag
+    cross = np.multiply.outer(re, im)
+    # l(s) * l(i) from real outer products, symmetric bit for bit as a complex one need not be
+    values = np.empty(cross.shape, dtype=complex)
+    np.multiply.outer(re, re, out=values.real)
+    values.real -= np.multiply.outer(im, im)
+    np.add(cross, cross.T, out=values.imag)
+    values *= np.lib.stride_tricks.sliding_window_view(h, lor.size)  # h[s + i], a Hankel view
+    return values
+
+
 def build_ring_jsa(
     pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid
 ) -> JointSpectralAmplitude:
@@ -366,16 +374,7 @@ def build_ring_jsa(
     frequency, and signal and idler pick up the degenerate-resonance
     Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
     """
-    h, lor = _ring_factors(pump1, pump2, ring, grid)
-    re, im = lor.real, lor.imag
-    cross = np.multiply.outer(re, im)
-    # l(s) * l(i) from real outer products, symmetric bit for bit as a complex one need not be
-    values = np.empty(cross.shape, dtype=complex)
-    np.multiply.outer(re, re, out=values.real)
-    values.real -= np.multiply.outer(im, im)
-    np.add(cross, cross.T, out=values.imag)
-    values *= np.lib.stride_tricks.sliding_window_view(h, lor.size)  # h[s + i], a Hankel view
-    return _normalize(grid, values, "ring builder")
+    return _normalize(grid, _ring_values(*_ring_factors(pump1, pump2, ring, grid)), "ring builder")
 
 
 def _require_survival(survival: float, min_survival: float) -> float:
@@ -407,27 +406,27 @@ def filter_survival(jsa: JointSpectralAmplitude, spec: FilterSpec) -> float:
     return _filtered(jsa, spec, MIN_SURVIVAL)[1]
 
 
-def ring_filter_survival(
-    pump1: PumpLine,
-    pump2: PumpLine,
-    ring: RingSource,
-    grid: FrequencyGrid,
-    spec: FilterSpec,
-) -> float:
-    """``filter_survival`` of the ring's whole-grid JSA, without building it.
+def filtered_ring_block(
+    pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid,
+    samples: np.ndarray, lo: int, hi: int,
+):
+    """(values, survival) of the ring's filtered JSA from one (h, l) on ``grid``.
 
-    |F[s, i]|^2 = |h[s + i]|^2 * q[s] * q[i] with q = |l|^2, so the norm
-    over the grid is sum_m |h_m|^2 * (q * q)_m, a 1-D convolution on the
-    2N-1 sums; the filtered norm takes q * f^2 in place of q. Raises as
-    ``build_ring_jsa`` and ``filter_survival`` would.
+    ``samples``, the filter on ``grid``, is zero outside points lo..hi; the
+    values there, not normalized, are (l f)(s) * (l f)(i) * h[s + i]. As
+    |F[s, i]|^2 = |h[s + i]|^2 * q[s] * q[i] with q = |l|^2, the whole grid's
+    norm is sum_m |h_m|^2 * (q * q)_m, a 1-D convolution on the 2N-1 sums,
+    and the filtered norm takes q * f^2 for q. Raises as ``build_ring_jsa``
+    and ``filter_survival`` would.
     """
     h, lor = _ring_factors(pump1, pump2, ring, grid)
     weight = np.abs(h) ** 2
     q = np.abs(lor) ** 2
-    passed = q * sample_filter(spec, grid) ** 2
+    passed = q * samples ** 2
     total = float(np.sum(weight * np.convolve(q, q)))
     _require_norm2(total * grid.step * grid.step, "ring builder")
-    return _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total, MIN_SURVIVAL)
+    survival = _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total, MIN_SURVIVAL)
+    return _ring_values(h[2 * lo : 2 * hi + 1], lor[lo : hi + 1] * samples[lo : hi + 1]), survival
 
 
 def apply_filter(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import pipeline
+from biphoton import pipeline, sources
 from biphoton.cli import main
 from biphoton.errors import DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
@@ -18,7 +18,6 @@ from biphoton.sources import (
     apply_filter,
     filter_survival,
     norm2_bound,
-    ring_filter_survival,
     sum_abs2,
 )
 from biphoton.spectral import FilterSpec, FrequencyGrid, omega_to_wavelength, sample_filter
@@ -59,6 +58,14 @@ def cut_to_passband(scenario, n_points, jsa):
     return cut
 
 
+def on_passband(scenario, n_points, jsa):
+    """A filtered whole-grid JSA, cut to the passband and renormalized there."""
+    window = passband(scenario, n_points)[2]
+    cut = cut_to_passband(scenario, n_points, jsa)
+    values = cut / np.sqrt(sum_abs2(cut) * window.step * window.step)
+    return JointSpectralAmplitude(window, values, norm_applied=True)
+
+
 def assert_matches_whole_grid(scenario, n_points):
     """The windowed JSA, and a ring's survival from its factors, against the whole-grid build."""
     windowed = pipeline.build_jsa(scenario, n_points=n_points)
@@ -70,9 +77,10 @@ def assert_matches_whole_grid(scenario, n_points):
     cut = cut_to_passband(scenario, n_points, reference)
     scale = np.max(np.abs(cut))
     assert np.max(np.abs(windowed.values - cut)) <= 1e-9 * scale
-    if isinstance(scenario.source, RingSource):
-        grid = scenario.grid(n_points)
-        survival = ring_filter_survival(*scenario.pumps, scenario.source, grid, scenario.filter_spec)
+    if isinstance(scenario.source, RingSource):  # one set of factors, so no node trim on the window
+        block = on_passband(scenario, n_points, reference).values
+        assert np.max(np.abs(windowed.values - block)) <= 1e-13 * np.max(np.abs(block))
+        survival = pipeline.purity_report(scenario, n_points)["survival"]
         expected = filter_survival(unfiltered, scenario.filter_spec)
         assert survival == pytest.approx(expected, rel=1e-12, abs=0.0)
     return windowed
@@ -188,13 +196,10 @@ def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, caps
     windowed = pipeline.build_jsa(scenario)
     assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
     monkeypatch.undo()
-    # the whole grid's filtered values, cut to the passband and renormalized there
     reference = whole_grid(scenario, None)
-    window = passband(scenario, None)[2]
-    assert windowed.grid == window
-    cut = cut_to_passband(scenario, None, reference)
-    expected = cut / np.sqrt(sum_abs2(cut) * window.step * window.step)
-    assert np.array_equal(windowed.values, expected)
+    cut = on_passband(scenario, None, reference)
+    assert windowed.grid == cut.grid
+    assert np.array_equal(windowed.values, cut.values)
     purity = schmidt_decompose(windowed).purity
     assert purity == pytest.approx(schmidt_decompose(reference).purity, rel=1e-12, abs=0.0)
     assert main(["stats", "--scenario", scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER)]) == 0
@@ -243,50 +248,63 @@ def test_purity_survival_is_the_whole_grid_survival():
         assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
 
 
-def test_ring_purity_builds_only_the_window(monkeypatch):
-    sizes = []
+@pytest.mark.parametrize("verb", ["purity", "schmidt", "jsi"])
+def test_filtered_ring_request_evaluates_the_factors_once(tmp_path, monkeypatch, verb):
+    grids = []
 
-    def spy(pump1, pump2, source, grid, *args, **kwargs):
-        sizes.append(grid.n_points)
-        return build(pump1, pump2, source, grid, *args, **kwargs)
+    def spy(pump1, pump2, ring, grid):
+        grids.append(grid)
+        return ring_factors(pump1, pump2, ring, grid)
 
-    build = pipeline.build_ring_jsa
-    monkeypatch.setattr(pipeline, "build_ring_jsa", spy)
-    pipeline.purity_report(load_bundled(RING), 401)
-    assert sizes == [267]  # the 0.8 nm passband of the 401-point grid
+    def no_bound(*args):
+        raise AssertionError("a ring's survival comes from its factors, not from norm2_bound")
+
+    ring_factors = sources._ring_factors
+    monkeypatch.setattr(sources, "_ring_factors", spy)
+    monkeypatch.setattr(sources, "norm2_bound", no_bound)
+    monkeypatch.setattr(pipeline, "norm2_bound", no_bound)
+    assert main([verb, "--scenario", RING] + out_flag(tmp_path, verb)) == 0
+    assert grids == [load_bundled(RING).grid()]  # once, on the scenario grid: no window, no fallback
 
 
 def embedded_then_filtered(scenario, n_points):
-    """The reference (decision, JSA): the window build embedded in the scenario
-    grid, then filtered on the whole grid with the same certificate and fallback."""
+    """The reference (decision, JSA). A waveguide's window build is embedded in
+    the scenario grid, then filtered there with the same certificate and fallback;
+    a ring's JSA is built and filtered on the whole grid."""
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec
     lo, hi, window = passband(scenario, n_points)
+    ring = isinstance(scenario.source, RingSource)
+    if not ring:
+        try:
+            part = pipeline._source_jsa(scenario, scenario.source, window)
+            values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+            values[lo : hi + 1, lo : hi + 1] = part.values
+            embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
+            bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
+            return "window", apply_filter(embedded, spec, MIN_SURVIVAL * bound / part.norm2_before)
+        except DegenerateInputError:
+            pass
     try:
-        part = pipeline._source_jsa(scenario, scenario.source, window)
-        values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-        values[lo : hi + 1, lo : hi + 1] = part.values
-        embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
-        bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-        return "window", apply_filter(embedded, spec, MIN_SURVIVAL * bound / part.norm2_before)
-    except DegenerateInputError:
-        pass
-    try:
-        return "whole grid", apply_filter(pipeline._source_jsa(scenario, scenario.source, grid), spec)
+        return "factors" if ring else "whole grid", whole_grid(scenario, n_points)
     except DegenerateInputError:
         return "exit 3", None
 
 
 def block_filtered(scenario, n_points, monkeypatch):
-    """(decision, JSA) of ``pipeline.build_jsa``, the decision read from its builds."""
-    builds = []
+    """(decision, JSA) of ``pipeline.build_jsa``, the decision read from the grids
+    that the waveguide builder and the ring's factors ran on."""
+    grids = []
 
-    def spy(scenario, source, grid):
-        builds.append(grid.n_points)
-        return source_jsa(scenario, source, grid)
+    def spy(evaluate):
+        def run(pump1, pump2, source, grid):
+            grids.append(grid)
+            return evaluate(pump1, pump2, source, grid)
 
-    source_jsa = pipeline._source_jsa
-    monkeypatch.setattr(pipeline, "_source_jsa", spy)
+        return run
+
+    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy(pipeline.build_waveguide_jsa))
+    monkeypatch.setattr(sources, "_ring_factors", spy(sources._ring_factors))
     try:
         out = pipeline.build_jsa(scenario, n_points=n_points)
     except DegenerateInputError:
@@ -295,7 +313,17 @@ def block_filtered(scenario, n_points, monkeypatch):
         monkeypatch.undo()
     if out is None:
         return "exit 3", None
-    return ("window", "whole grid")[len(builds) - 1], out
+    window, whole = passband(scenario, n_points)[2], scenario.grid(n_points)
+    if isinstance(scenario.source, RingSource):
+        decisions = {(whole,): "factors"}
+    else:
+        decisions = {(window,): "window", (window, whole): "whole grid"}
+    return decisions.get(tuple(grids), f"unexpected builds on {grids}"), out
+
+
+def certified(scenario):
+    """The decision of a bundled filter: rings use their factors, waveguides their window."""
+    return "factors" if isinstance(scenario.source, RingSource) else "window"
 
 
 def assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, expected_decision):
@@ -310,14 +338,16 @@ def assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, expect
 @pytest.mark.parametrize("n_points", [201, 401, 801])
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_block_filtering_matches_embedded_filtering(monkeypatch, name, n_points):
-    assert_block_filtering_decides_alike(load_bundled(name), n_points, monkeypatch, "window")
+    scenario = load_bundled(name)
+    assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, certified(scenario))
 
 
 @pytest.mark.parametrize("name", [WAVEGUIDE, RING])
 def test_block_filtering_matches_embedded_filtering_with_raised_cosine(monkeypatch, name):
     scenario = load_bundled(name)
     spec = dataclasses.replace(scenario.filter_spec, profile="raised_cosine", rolloff=0.5)
-    assert_block_filtering_decides_alike(with_filter(scenario, spec), 201, monkeypatch, "window")
+    scenario = with_filter(scenario, spec)
+    assert_block_filtering_decides_alike(scenario, 201, monkeypatch, certified(scenario))
 
 
 @pytest.mark.parametrize(
@@ -326,6 +356,12 @@ def test_block_filtering_matches_embedded_filtering_with_raised_cosine(monkeypat
 def test_block_filtering_keeps_fallback_and_exit_three(tmp_path, monkeypatch, filter_section, decision):
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, filter_section))
     assert_block_filtering_decides_alike(scenario, None, monkeypatch, decision)
+
+
+@pytest.mark.parametrize("index", [0, 200])
+def test_block_filtering_keeps_ring_exit_three(monkeypatch, index):
+    scenario = one_point_filter(load_bundled(RING), index, 201)
+    assert_block_filtering_decides_alike(scenario, 201, monkeypatch, "exit 3")
 
 
 @pytest.mark.parametrize(
@@ -347,7 +383,7 @@ def test_block_filtering_with_filter_edges_midway_between_grid_points(
     scenario = with_filter(scenario, spec)
     lo, hi, window = passband(scenario, n_points)
     assert not np.array_equal(sample_filter(spec, window), sample_filter(spec, grid)[lo : hi + 1])
-    assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, "window")
+    assert_block_filtering_decides_alike(scenario, n_points, monkeypatch, certified(scenario))
 
 
 def assert_purities_agree(scenario, n_points, table1_purity=None):
@@ -377,6 +413,7 @@ def test_purities_agree_on_whole_grid_fallback(tmp_path):
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_stats_mode_count_matches_embedded_spectrum(name):
+    # the reference decomposes the whole grid's filtered JSA, not the block stats_report reads
     scenario = load_bundled(name)
-    embedded = schmidt_decompose(pipeline.build_jsa(scenario))
-    assert pipeline.stats_report(scenario)["n_modes"] == embedded.significant().size
+    reference = schmidt_decompose(on_passband(scenario, None, whole_grid(scenario, None)))
+    assert pipeline.stats_report(scenario)["n_modes"] == reference.significant().size
