@@ -1,3 +1,4 @@
+import copy
 from importlib import resources
 
 import numpy as np
@@ -239,3 +240,301 @@ def test_scenario_file_that_is_not_utf8(tmp_path):
     path.write_bytes("name: café\n".encode("latin-1"))
     with pytest.raises(ConfigError, match="cannot read scenario file"):
         load_scenario(path)
+
+
+# Every key of every section, each with the scenario around it valid.
+FULL_WAVEGUIDE = {
+    "kind": "waveguide",
+    "length_mm": 15.0,
+    "beta2_s2_per_m": -1.5e-20,
+    "beta3_s3_per_m": 0.0,
+    "reference_wavelength_nm": 1550.12,
+}
+FULL_RING = {
+    "kind": "ring",
+    "q_factor": 1.5e4,
+    "fsr_nm": 3.025,
+    "resonance_nm": 1550.12,
+    "pump_comb_index": 2,
+    "detuning_p1_nm": 0.0,
+    "detuning_p2_nm": 0.0,
+}
+DELETE = object()
+NAN, INF, BIG = float("nan"), float("inf"), 10**400
+
+
+def full_dict(kind):
+    pump = {"linewidth_ghz": 80.0, "shape": "gaussian", "amplitude": 1.0}
+    return {
+        "name": "full",
+        "pumps": [{"wavelength_nm": 1544.08, **pump}, {"wavelength_nm": 1556.18, **pump}],
+        "source": dict(FULL_WAVEGUIDE if kind == "waveguide" else FULL_RING),
+        "filter": {"center_nm": 1550.12, "bandwidth_nm": 0.8, "profile": "rectangle", "rolloff": 0.0},
+        "grid": {"center_nm": 1550.12, "span_nm": 1.2, "points": 401},
+        "fringe": {"phase_min": 0.0, "phase_max": 6.0, "steps": 181},
+        "car": 170,
+        "squeezing": {"xi": 0.1, "eta": 1.0},
+    }
+
+
+def edited(kind, edits):
+    """``full_dict(kind)`` with each dotted path set to its value (or removed); "" is the whole."""
+    data = full_dict(kind)
+    for path, value in edits.items():
+        if not path:
+            data = value
+            continue
+        *parents, key = path.split(".")
+        target = data
+        for part in parents:
+            target = target[int(part)] if isinstance(target, list) else target[part]
+        if value is DELETE:
+            del target[key]
+        else:
+            target[key] = copy.deepcopy(value)
+    return data
+
+
+def edits_id(edits):
+    return ",".join(
+        f"-{path}" if value is DELETE else f"{path}={str(value)[:12]}" for path, value in edits.items()
+    )
+
+
+# (source kind, edits, the full message), for each key and each way it can be wrong
+ERROR_MESSAGES = [
+    # the top level and its sections
+    ("waveguide", {"": []}, "case: expected a mapping, got list"),
+    ("waveguide", {"bogus": 1}, "case.bogus: unknown key"),
+    ("waveguide", {"name": DELETE}, "case.name: missing required key"),
+    ("waveguide", {"pumps": DELETE}, "case.pumps: missing required key"),
+    ("waveguide", {"source": DELETE}, "case.source: missing required key"),
+    ("waveguide", {"name": 5}, "case.name: expected a string"),
+    ("waveguide", {"name": None}, "case.name: expected a string"),
+    ("waveguide", {"pumps": {}}, "case.pumps: exactly two pump lines are required"),
+    ("waveguide", {"pumps": [{"wavelength_nm": 1544.08}]},
+     "case.pumps: exactly two pump lines are required"),
+    ("waveguide", {"pumps": [1, {}]}, "case.pumps[0]: expected a mapping, got int"),
+    ("waveguide", {"pumps": [{}, {}]}, "case.pumps[0].wavelength_nm: missing required key"),
+    ("waveguide", {"source": "x"}, "case.source: expected a mapping, got str"),
+    ("waveguide", {"source": {}}, "case.source.kind: must be 'waveguide' or 'ring', got None"),
+    ("waveguide", {"source.kind": "fiber"},
+     "case.source.kind: must be 'waveguide' or 'ring', got 'fiber'"),
+    ("waveguide", {"source.kind": DELETE},
+     "case.source.kind: must be 'waveguide' or 'ring', got None"),
+    ("waveguide", {"source2": None}, "case.source2: expected a mapping, got NoneType"),
+    ("waveguide", {"source2": {}}, "case.source2.kind: must be 'waveguide' or 'ring', got None"),
+    ("waveguide", {"filter": []}, "case.filter: expected a mapping, got list"),
+    ("waveguide", {"filter": None}, "case.filter: expected a mapping, got NoneType"),
+    ("waveguide", {"filter": {}}, "case.filter.center_nm: missing required key"),
+    ("waveguide", {"grid": None}, "case.grid: expected a mapping, got NoneType"),
+    ("waveguide", {"fringe": "x"}, "case.fringe: expected a mapping, got str"),
+    ("waveguide", {"squeezing": 1}, "case.squeezing: expected a mapping, got int"),
+    ("waveguide", {"car": "x"}, "case.car: expected a number, got 'x'"),
+    ("waveguide", {"car": True}, "case.car: expected a number, got True"),
+    ("waveguide", {"car": None}, "case.car: expected a number, got None"),
+    ("waveguide", {"car": NAN}, "case.car: must be finite, got nan"),
+    ("waveguide", {"car": BIG}, f"case.car: must be finite, got {BIG}"),
+    ("waveguide", {"car": 0}, "case.car: must be positive, got 0"),
+    ("waveguide", {"car": -1.5}, "case.car: must be positive, got -1.5"),
+    # a pump line
+    ("waveguide", {"pumps.1.colour": "red"}, "case.pumps[1].colour: unknown key"),
+    ("waveguide", {"pumps.1.wavelength_nm": DELETE},
+     "case.pumps[1].wavelength_nm: missing required key"),
+    ("waveguide", {"pumps.1.wavelength_nm": "x"},
+     "case.pumps[1].wavelength_nm: expected a number, got 'x'"),
+    ("waveguide", {"pumps.1.wavelength_nm": True},
+     "case.pumps[1].wavelength_nm: expected a number, got True"),
+    ("waveguide", {"pumps.1.wavelength_nm": None},
+     "case.pumps[1].wavelength_nm: expected a number, got None"),
+    ("waveguide", {"pumps.1.wavelength_nm": [1]},
+     "case.pumps[1].wavelength_nm: expected a number, got [1]"),
+    ("waveguide", {"pumps.1.wavelength_nm": NAN},
+     "case.pumps[1].wavelength_nm: must be finite, got nan"),
+    ("waveguide", {"pumps.1.wavelength_nm": INF},
+     "case.pumps[1].wavelength_nm: must be finite, got inf"),
+    ("waveguide", {"pumps.1.wavelength_nm": BIG},
+     f"case.pumps[1].wavelength_nm: must be finite, got {BIG}"),
+    ("waveguide", {"pumps.1.wavelength_nm": 0},
+     "case.pumps[1].wavelength_nm: must be positive, got 0"),
+    ("waveguide", {"pumps.1.wavelength_nm": -1.5},
+     "case.pumps[1].wavelength_nm: must be positive, got -1.5"),
+    ("waveguide", {"pumps.1.linewidth_ghz": "x"},
+     "case.pumps[1].linewidth_ghz: expected a number, got 'x'"),
+    ("waveguide", {"pumps.1.linewidth_ghz": NAN},
+     "case.pumps[1].linewidth_ghz: must be finite, got nan"),
+    ("waveguide", {"pumps.1.linewidth_ghz": -BIG},
+     f"case.pumps[1].linewidth_ghz: must be finite, got {-BIG}"),
+    ("waveguide", {"pumps.1.linewidth_ghz": 0},
+     "case.pumps[1].linewidth_ghz: must be positive, got 0"),
+    ("waveguide", {"pumps.1.shape": "square"}, "case.pumps[1]: unknown pump shape 'square'"),
+    ("waveguide", {"pumps.1.shape": 1}, "case.pumps[1]: unknown pump shape 1"),
+    ("waveguide", {"pumps.1.amplitude": "1"},
+     "case.pumps[1].amplitude: expected a number, got '1'"),
+    ("waveguide", {"pumps.1.amplitude": -INF}, "case.pumps[1].amplitude: must be finite, got -inf"),
+    # a waveguide source
+    ("waveguide", {"source.q_factor": 15000.0}, "case.source.q_factor: unknown key"),
+    ("waveguide", {"source.length_mm": DELETE}, "case.source.length_mm: missing required key"),
+    ("waveguide", {"source.length_mm": "x"}, "case.source.length_mm: expected a number, got 'x'"),
+    ("waveguide", {"source.length_mm": NAN}, "case.source.length_mm: must be finite, got nan"),
+    ("waveguide", {"source.length_mm": BIG}, f"case.source.length_mm: must be finite, got {BIG}"),
+    ("waveguide", {"source.length_mm": 0}, "case.source.length_mm: must be positive, got 0"),
+    ("waveguide", {"source.length_mm": -1.5}, "case.source.length_mm: must be positive, got -1.5"),
+    ("waveguide", {"source.reference_wavelength_nm": True},
+     "case.source.reference_wavelength_nm: expected a number, got True"),
+    ("waveguide", {"source.reference_wavelength_nm": INF},
+     "case.source.reference_wavelength_nm: must be finite, got inf"),
+    ("waveguide", {"source.reference_wavelength_nm": 0},
+     "case.source.reference_wavelength_nm: must be positive, got 0"),
+    ("waveguide", {"source.beta2_s2_per_m": "x"},
+     "case.source.beta2_s2_per_m: expected a number, got 'x'"),
+    ("waveguide", {"source.beta2_s2_per_m": INF},
+     "case.source.beta2_s2_per_m: must be finite, got inf"),
+    ("waveguide", {"source.beta3_s3_per_m": None},
+     "case.source.beta3_s3_per_m: expected a number, got None"),
+    ("waveguide", {"source.beta3_s3_per_m": NAN},
+     "case.source.beta3_s3_per_m: must be finite, got nan"),
+    # a ring source
+    ("ring", {"source.length_mm": 15.0}, "case.source.length_mm: unknown key"),
+    ("ring", {"source.q_factor": DELETE}, "case.source.q_factor: missing required key"),
+    ("ring", {"source.fsr_nm": DELETE}, "case.source.fsr_nm: missing required key"),
+    ("ring", {"source.resonance_nm": DELETE}, "case.source.resonance_nm: missing required key"),
+    ("ring", {"source.q_factor": "x"}, "case.source.q_factor: expected a number, got 'x'"),
+    ("ring", {"source.q_factor": NAN}, "case.source.q_factor: must be finite, got nan"),
+    ("ring", {"source.q_factor": 0}, "case.source.q_factor: must be positive, got 0"),
+    ("ring", {"source.fsr_nm": None}, "case.source.fsr_nm: expected a number, got None"),
+    ("ring", {"source.fsr_nm": INF}, "case.source.fsr_nm: must be finite, got inf"),
+    ("ring", {"source.fsr_nm": -1.5}, "case.source.fsr_nm: must be positive, got -1.5"),
+    ("ring", {"source.resonance_nm": [1]}, "case.source.resonance_nm: expected a number, got [1]"),
+    ("ring", {"source.resonance_nm": -INF}, "case.source.resonance_nm: must be finite, got -inf"),
+    ("ring", {"source.resonance_nm": 0}, "case.source.resonance_nm: must be positive, got 0"),
+    ("ring", {"source.resonance_nm": 1e-320},
+     "case.source: center_wavelength must be finite and positive, got 0.0"),
+    ("ring", {"source.pump_comb_index": 2.0},
+     "case.source.pump_comb_index: expected an integer, got 2.0"),
+    ("ring", {"source.pump_comb_index": 2.5},
+     "case.source.pump_comb_index: expected an integer, got 2.5"),
+    ("ring", {"source.pump_comb_index": True},
+     "case.source.pump_comb_index: expected an integer, got True"),
+    ("ring", {"source.pump_comb_index": "2"},
+     "case.source.pump_comb_index: expected an integer, got '2'"),
+    ("ring", {"source.pump_comb_index": 0}, "case.source.pump_comb_index: must be >= 1, got 0"),
+    ("ring", {"source.pump_comb_index": -1}, "case.source.pump_comb_index: must be >= 1, got -1"),
+    ("ring", {"source.pump_comb_index": 600},
+     "case.source: the pump1 resonance must be at a positive wavelength, got -2.648800000000003e-07 m"),
+    ("ring", {"source.detuning_p1_nm": "x"},
+     "case.source.detuning_p1_nm: expected a number, got 'x'"),
+    ("ring", {"source.detuning_p1_nm": NAN}, "case.source.detuning_p1_nm: must be finite, got nan"),
+    ("ring", {"source.detuning_p2_nm": None},
+     "case.source.detuning_p2_nm: expected a number, got None"),
+    ("ring", {"source.detuning_p2_nm": BIG},
+     f"case.source.detuning_p2_nm: must be finite, got {BIG}"),
+    ("ring", {"source.detuning_p2_nm": -1600},
+     "case.source: the pump2 resonance must be at a positive wavelength, got -4.383000000000031e-08 m"),
+    # the filter
+    ("waveguide", {"filter.width_nm": 0.8}, "case.filter.width_nm: unknown key"),
+    ("waveguide", {"filter.center_nm": DELETE}, "case.filter.center_nm: missing required key"),
+    ("waveguide", {"filter.bandwidth_nm": DELETE},
+     "case.filter.bandwidth_nm: missing required key"),
+    ("waveguide", {"filter.center_nm": "x"}, "case.filter.center_nm: expected a number, got 'x'"),
+    ("waveguide", {"filter.center_nm": NAN}, "case.filter.center_nm: must be finite, got nan"),
+    ("waveguide", {"filter.center_nm": 0}, "case.filter.center_nm: must be positive, got 0"),
+    ("waveguide", {"filter.bandwidth_nm": False},
+     "case.filter.bandwidth_nm: expected a number, got False"),
+    ("waveguide", {"filter.bandwidth_nm": INF},
+     "case.filter.bandwidth_nm: must be finite, got inf"),
+    ("waveguide", {"filter.bandwidth_nm": -1.5},
+     "case.filter.bandwidth_nm: must be positive, got -1.5"),
+    ("waveguide", {"filter.profile": "triangle"}, "case.filter: unknown filter profile 'triangle'"),
+    ("waveguide", {"filter.rolloff": "x"}, "case.filter.rolloff: expected a number, got 'x'"),
+    ("waveguide", {"filter.rolloff": NAN}, "case.filter.rolloff: must be finite, got nan"),
+    ("waveguide", {"filter.rolloff": 2}, "case.filter: rolloff must be in [0, 1], got 2.0"),
+    # the grid
+    ("waveguide", {"grid.step_nm": 0.01}, "case.grid.step_nm: unknown key"),
+    ("waveguide", {"grid.center_nm": "x"}, "case.grid.center_nm: expected a number, got 'x'"),
+    ("waveguide", {"grid.center_nm": NAN}, "case.grid.center_nm: must be finite, got nan"),
+    ("waveguide", {"grid.center_nm": 0}, "case.grid.center_nm: must be positive, got 0"),
+    ("waveguide", {"grid.span_nm": None}, "case.grid.span_nm: expected a number, got None"),
+    ("waveguide", {"grid.span_nm": INF}, "case.grid.span_nm: must be finite, got inf"),
+    ("waveguide", {"grid.span_nm": -1.5}, "case.grid.span_nm: must be positive, got -1.5"),
+    ("waveguide", {"grid.span_nm": 5000},
+     "case.grid: span too large: lower wavelength edge is non-positive"),
+    ("waveguide", {"grid.points": 401.0}, "case.grid.points: expected an integer, got 401.0"),
+    ("waveguide", {"grid.points": "401"}, "case.grid.points: expected an integer, got '401'"),
+    ("waveguide", {"grid.points": True}, "case.grid.points: expected an integer, got True"),
+    ("waveguide", {"grid.points": 1}, "case.grid.points: must be >= 2, got 1"),
+    ("waveguide", {"grid.points": -1}, "case.grid.points: must be >= 2, got -1"),
+    # the fringe scan
+    ("waveguide", {"fringe.phases": 3}, "case.fringe.phases: unknown key"),
+    ("waveguide", {"fringe.phase_min": "x"}, "case.fringe.phase_min: expected a number, got 'x'"),
+    ("waveguide", {"fringe.phase_min": NAN}, "case.fringe.phase_min: must be finite, got nan"),
+    ("waveguide", {"fringe.phase_max": None}, "case.fringe.phase_max: expected a number, got None"),
+    ("waveguide", {"fringe.phase_max": -INF}, "case.fringe.phase_max: must be finite, got -inf"),
+    ("waveguide", {"fringe.phase_max": 0.0}, "case.fringe: phase_max must exceed phase_min"),
+    ("waveguide", {"fringe.steps": 2.0}, "case.fringe.steps: expected an integer, got 2.0"),
+    ("waveguide", {"fringe.steps": 1}, "case.fringe.steps: must be >= 2, got 1"),
+    # squeezing
+    ("waveguide", {"squeezing.gain": 1}, "case.squeezing.gain: unknown key"),
+    ("waveguide", {"squeezing.xi": "x"}, "case.squeezing.xi: expected a number, got 'x'"),
+    ("waveguide", {"squeezing.xi": INF}, "case.squeezing.xi: must be finite, got inf"),
+    ("waveguide", {"squeezing.xi": -1}, "case.squeezing.xi: must be >= 0, got -1.0"),
+    ("waveguide", {"squeezing.eta": None}, "case.squeezing.eta: expected a number, got None"),
+    ("waveguide", {"squeezing.eta": NAN}, "case.squeezing.eta: must be finite, got nan"),
+    ("waveguide", {"squeezing.eta": 2}, "case.squeezing.eta: must be in [0, 1], got 2.0"),
+    ("waveguide", {"squeezing.eta": -0.5}, "case.squeezing.eta: must be in [0, 1], got -0.5"),
+    # two faults: the one met first in evaluation order is reported
+    ("waveguide", {"bogus": 1, "name": DELETE}, "case.bogus: unknown key"),
+    ("waveguide", {"name": DELETE, "pumps.0.wavelength_nm": "x"},
+     "case.name: missing required key"),
+    ("waveguide", {"name": 5, "pumps.0.wavelength_nm": "x"}, "case.name: expected a string"),
+    ("waveguide", {"pumps.0.linewidth_ghz": 0, "pumps.1.wavelength_nm": "x"},
+     "case.pumps[0].linewidth_ghz: must be positive, got 0"),
+    ("waveguide", {"pumps.1.wavelength_nm": "x", "source.length_mm": 0},
+     "case.pumps[1].wavelength_nm: expected a number, got 'x'"),
+    ("waveguide", {"source.length_mm": 0, "source2": None},
+     "case.source.length_mm: must be positive, got 0"),
+    ("waveguide", {"source2": None, "filter.center_nm": "x"},
+     "case.source2: expected a mapping, got NoneType"),
+    ("waveguide", {"filter.rolloff": 2, "grid.points": 1},
+     "case.filter: rolloff must be in [0, 1], got 2.0"),
+    ("waveguide", {"grid.points": 1, "fringe.steps": 1}, "case.grid.points: must be >= 2, got 1"),
+    ("waveguide", {"fringe.phase_max": 0.0, "car": 0},
+     "case.fringe: phase_max must exceed phase_min"),
+    ("waveguide", {"car": 0, "squeezing.eta": "x"}, "case.car: must be positive, got 0"),
+    ("waveguide", {"pumps.0.colour": 1, "pumps.0.wavelength_nm": DELETE},
+     "case.pumps[0].colour: unknown key"),
+    ("waveguide", {"pumps.0.wavelength_nm": DELETE, "pumps.0.linewidth_ghz": "x"},
+     "case.pumps[0].wavelength_nm: missing required key"),
+    ("waveguide", {"source.beta2_s2_per_m": "x", "source.reference_wavelength_nm": "x"},
+     "case.source.reference_wavelength_nm: expected a number, got 'x'"),
+    ("waveguide", {"source.length_mm": "x", "source.reference_wavelength_nm": "x"},
+     "case.source.length_mm: expected a number, got 'x'"),
+    ("waveguide", {"source.kind": "fiber", "source.bogus": 1},
+     "case.source.kind: must be 'waveguide' or 'ring', got 'fiber'"),
+    ("ring", {"source.length_mm": 15.0, "source.q_factor": DELETE},
+     "case.source.length_mm: unknown key"),
+    ("ring", {"source.q_factor": 0, "source.pump_comb_index": 0},
+     "case.source.q_factor: must be positive, got 0"),
+    ("waveguide", {"filter.profile": "triangle", "filter.rolloff": "x"},
+     "case.filter.rolloff: expected a number, got 'x'"),
+    ("waveguide", {"grid.span_nm": 5000, "grid.points": 1},
+     "case.grid.points: must be >= 2, got 1"),
+    ("waveguide", {"fringe.phase_max": 0.0, "fringe.steps": 1},
+     "case.fringe.steps: must be >= 2, got 1"),
+    ("waveguide", {"squeezing.xi": -1, "squeezing.eta": "x"},
+     "case.squeezing.eta: expected a number, got 'x'"),
+    ("waveguide", {"squeezing.xi": -1, "squeezing.eta": 2},
+     "case.squeezing.xi: must be >= 0, got -1.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, edits, message",
+    ERROR_MESSAGES,
+    ids=[f"{kind}:{edits_id(edits)}" for kind, edits, _ in ERROR_MESSAGES],
+)
+def test_error_message(kind, edits, message):
+    assert scenario_from_dict(full_dict(kind), name_hint="case")
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict(edited(kind, edits), name_hint="case")
+    assert str(info.value) == message
