@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -73,88 +74,76 @@ class Scenario:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-_PUMP_KEYS = {"wavelength_nm": True, "linewidth_ghz": False, "shape": False, "amplitude": False}
-_WG_KEYS = {
-    "kind": True,
-    "length_mm": True,
-    "beta2_s2_per_m": False,
-    "beta3_s3_per_m": False,
-    "reference_wavelength_nm": False,
-}
-_RING_KEYS = {
-    "kind": True,
-    "q_factor": True,
-    "fsr_nm": True,
-    "resonance_nm": True,
-    "pump_comb_index": False,
-    "detuning_p1_nm": False,
-    "detuning_p2_nm": False,
-}
-_FILTER_KEYS = {
-    "center_nm": True,
-    "bandwidth_nm": True,
-    "profile": False,
-    "rolloff": False,
-}
-_GRID_KEYS = {"center_nm": False, "span_nm": False, "points": False}
-_FRINGE_KEYS = {"phase_min": False, "phase_max": False, "steps": False}
-_SQUEEZE_KEYS = {"xi": False, "eta": False}
-_TOP_KEYS = {
-    "name": True,
-    "pumps": True,
-    "source": True,
-    "source2": False,
-    "filter": False,
-    "grid": False,
-    "fringe": False,
-    "car": False,
-    "squeezing": False,
-}
-
 DEFAULT_LINEWIDTH_GHZ = 80.0  # effective CW linewidth; see docs/scenarios.md
 
+# What a row's value must be, as its "expected ..." message names it; None passes any value.
+_NUMBER = ("a number", (int, float))
+_INTEGER = ("an integer", int)
+_REQUIRED = object()
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(obj).__name__}")
-    return obj
+
+class _Row(NamedTuple):
+    """How one scenario key becomes one constructor argument (``arg`` None: read, not passed)."""
+
+    arg: str
+    expects: tuple = None  # _NUMBER, _INTEGER or None
+    default: object = _REQUIRED  # in file units; None leaves an absent key out, as None
+    scale: float = 1.0  # file units to SI, for numbers
+    rule: Callable = None  # (value, path) -> value, raising ConfigError
 
 
-def _check_keys(section: dict, allowed: dict, path: str):
+def _positive(value, path: str):
+    if value <= 0:
+        raise ConfigError(f"{path}: must be positive, got {value}")
+    return value
+
+
+def _at_least(minimum: int):
+    def rule(value, path: str):
+        if value < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        return value
+
+    return rule
+
+
+def _fields(section, table: dict, path: str) -> dict:
+    """Validate one scenario section against its table; return the constructor's keyword arguments.
+
+    The checks run in one order, so a section with several faults always
+    reports the same one: the mapping, unknown keys, missing required keys,
+    then row by row the type, finiteness, the row's rule and the unit scale.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(section).__name__}")
     for key in section:
-        if key not in allowed:
+        if key not in table:
             raise ConfigError(f"{path}.{key}: unknown key")
-    for key, required in allowed.items():
-        if required and key not in section:
+    for key, row in table.items():
+        if row.default is _REQUIRED and key not in section:
             raise ConfigError(f"{path}.{key}: missing required key")
-
-
-def _number(section: dict, key: str, path: str, default=None, positive: bool = False):
-    if key not in section:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite, got {section[key]!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {section[key]}")
-    return value
-
-
-def _integer(section: dict, key: str, path: str, default: int, minimum: int = None) -> int:
-    if key not in section:
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
-    return value
+    kwargs = {}
+    for key, (arg, expects, default, scale, rule) in table.items():
+        value = section.get(key, default)
+        if key in section or value is not None:
+            where = f"{path}.{key}"
+            if expects is not None:
+                expected, types = expects
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an integer beyond the float range
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"{where}: must be finite, got {value!r}")
+            if rule is not None:
+                value = rule(value, where)
+            if expects is _NUMBER:
+                value = float(value) * scale
+        if arg is not None:
+            kwargs[arg] = value
+    return kwargs
 
 
 def _build(path: str, constructor, *args, **kwargs):
@@ -165,118 +154,116 @@ def _build(path: str, constructor, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_pump(section, path: str) -> PumpLine:
-    section = _require_mapping(section, path)
-    _check_keys(section, _PUMP_KEYS, path)
-    wavelength = _number(section, "wavelength_nm", path, positive=True) * 1e-9
-    linewidth = _number(section, "linewidth_ghz", path, DEFAULT_LINEWIDTH_GHZ, positive=True)
-    return _build(
-        path,
-        PumpLine,
-        center_wavelength=wavelength,
-        linewidth_fwhm=linewidth * _GHZ,
-        shape=section.get("shape", "gaussian"),
-        relative_amplitude=complex(_number(section, "amplitude", path, 1.0)),
-    )
+def _section(table: dict, constructor):
+    """The rule for a sub-section: validate it against ``table``, then build it."""
+    return lambda section, path: _build(path, constructor, **_fields(section, table, path))
 
 
-def _parse_source(section, path: str):
-    section = _require_mapping(section, path)
-    kind = section.get("kind")
-    if kind == "waveguide":
-        _check_keys(section, _WG_KEYS, path)
-        length = _number(section, "length_mm", path, positive=True) * 1e-3
-        ref_nm = _number(section, "reference_wavelength_nm", path, 1550.12, positive=True)
-        model = DispersionModel(
-            reference_omega=float(wavelength_to_omega(ref_nm * 1e-9)),
-            beta2=_number(section, "beta2_s2_per_m", path, 0.0),
-            beta3=_number(section, "beta3_s3_per_m", path, 0.0),
+def _waveguide(length, reference_wavelength, beta2, beta3) -> WaveguideSource:
+    with np.errstate(divide="ignore", over="ignore"):  # 1e-300 nm is positive, its omega is not finite
+        reference_omega = float(wavelength_to_omega(reference_wavelength))
+    if not math.isfinite(reference_omega):
+        raise InvalidArgumentError(
+            f"reference_wavelength must be finite and positive, got {reference_wavelength}"
         )
-        return _build(path, WaveguideSource, length=length, dispersion=model)
-    if kind == "ring":
-        _check_keys(section, _RING_KEYS, path)
-        return _build(
-            path,
-            RingSource,
-            q_factor=_number(section, "q_factor", path, positive=True),
-            fsr=_number(section, "fsr_nm", path, positive=True) * 1e-9,
-            center_wavelength=_number(section, "resonance_nm", path, positive=True) * 1e-9,
-            pump_comb_index=_integer(section, "pump_comb_index", path, 2, minimum=1),
-            detuning_p1=_number(section, "detuning_p1_nm", path, 0.0) * 1e-9,
-            detuning_p2=_number(section, "detuning_p2_nm", path, 0.0) * 1e-9,
-        )
-    raise ConfigError(f"{path}.kind: must be 'waveguide' or 'ring', got {kind!r}")
+    model = DispersionModel(reference_omega=reference_omega, beta2=beta2, beta3=beta3)
+    return WaveguideSource(length=length, dispersion=model)
+
+
+_PUMP = {
+    "wavelength_nm": _Row("center_wavelength", _NUMBER, _REQUIRED, 1e-9, _positive),
+    "linewidth_ghz": _Row("linewidth_fwhm", _NUMBER, DEFAULT_LINEWIDTH_GHZ, _GHZ, _positive),
+    "shape": _Row("shape", None, "gaussian"),
+    "amplitude": _Row("relative_amplitude", _NUMBER, 1.0),
+}
+_WAVEGUIDE = {
+    "kind": _Row(None),
+    "length_mm": _Row("length", _NUMBER, _REQUIRED, 1e-3, _positive),
+    "reference_wavelength_nm": _Row("reference_wavelength", _NUMBER, 1550.12, 1e-9, _positive),
+    "beta2_s2_per_m": _Row("beta2", _NUMBER, 0.0),
+    "beta3_s3_per_m": _Row("beta3", _NUMBER, 0.0),
+}
+_RING = {
+    "kind": _Row(None),
+    "q_factor": _Row("q_factor", _NUMBER, rule=_positive),
+    "fsr_nm": _Row("fsr", _NUMBER, _REQUIRED, 1e-9, _positive),
+    "resonance_nm": _Row("center_wavelength", _NUMBER, _REQUIRED, 1e-9, _positive),
+    "pump_comb_index": _Row("pump_comb_index", _INTEGER, 2, rule=_at_least(1)),
+    "detuning_p1_nm": _Row("detuning_p1", _NUMBER, 0.0, 1e-9),
+    "detuning_p2_nm": _Row("detuning_p2", _NUMBER, 0.0, 1e-9),
+}
+_SOURCES = {"waveguide": (_WAVEGUIDE, _waveguide), "ring": (_RING, RingSource)}
+_FILTER = {
+    "center_nm": _Row("center_wavelength", _NUMBER, _REQUIRED, 1e-9, _positive),
+    "bandwidth_nm": _Row("bandwidth", _NUMBER, _REQUIRED, 1e-9, _positive),
+    "profile": _Row("profile", None, "rectangle"),
+    "rolloff": _Row("rolloff", _NUMBER, 0.0),
+}
+_GRID = {
+    "center_nm": _Row("center_wavelength", _NUMBER, 1550.12, 1e-9, _positive),
+    "span_nm": _Row("span", _NUMBER, 1.2, 1e-9, _positive),
+    "points": _Row("n_points", _INTEGER, 401, rule=_at_least(2)),
+}
+_FRINGE = {
+    "phase_min": _Row("phase_min", _NUMBER, 0.0),
+    "phase_max": _Row("phase_max", _NUMBER, 2.0 * np.pi),
+    "steps": _Row("steps", _INTEGER, 181, rule=_at_least(2)),
+}
+_SQUEEZING = {"xi": _Row("xi", _NUMBER, 0.1), "eta": _Row("eta", _NUMBER, 1.0)}
+
+
+def _name(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string")
+    return value
+
+
+def _pumps(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path}: exactly two pump lines are required")
+    return tuple(_section(_PUMP, PumpLine)(pump, f"{path}[{i}]") for i, pump in enumerate(value))
+
+
+def _source(section, path: str):
+    # not a mapping: _fields reports it
+    kind = section.get("kind") if isinstance(section, dict) else "waveguide"
+    if kind not in ("waveguide", "ring"):  # a tuple: kind may be unhashable
+        raise ConfigError(f"{path}.kind: must be 'waveguide' or 'ring', got {kind!r}")
+    return _section(*_SOURCES[kind])(section, path)
+
+
+def _fringe(section, path: str) -> FringeSettings:
+    fringe = FringeSettings(**_fields(section, _FRINGE, path))
+    if not fringe.phase_max > fringe.phase_min:
+        raise ConfigError(f"{path}: phase_max must exceed phase_min")
+    return fringe
+
+
+def _squeezing(section, path: str) -> SqueezingSettings:
+    squeezing = SqueezingSettings(**_fields(section, _SQUEEZING, path))
+    if squeezing.xi < 0:
+        raise ConfigError(f"{path}.xi: must be >= 0, got {squeezing.xi}")
+    if not 0.0 <= squeezing.eta <= 1.0:
+        raise ConfigError(f"{path}.eta: must be in [0, 1], got {squeezing.eta}")
+    return squeezing
+
+
+_TOP = {
+    "name": _Row("name", rule=_name),
+    "pumps": _Row("pumps", rule=_pumps),
+    "source": _Row("source", rule=_source),
+    "source2": _Row("source2", default=None, rule=_source),
+    "filter": _Row("filter_spec", default=None, rule=_section(_FILTER, FilterSpec)),
+    "grid": _Row("axis", default={}, rule=_section(_GRID, make_grid)),
+    "fringe": _Row("fringe", default={}, rule=_fringe),
+    "car": _Row("car", _NUMBER, None, rule=_positive),
+    "squeezing": _Row("squeezing", default={}, rule=_squeezing),
+}
 
 
 def scenario_from_dict(data: dict, name_hint: str = "<dict>") -> Scenario:
-    data = _require_mapping(data, name_hint)
-    _check_keys(data, _TOP_KEYS, name_hint)
-    if not isinstance(data.get("name"), str):
-        raise ConfigError(f"{name_hint}.name: expected a string")
-    pumps = data["pumps"]
-    if not isinstance(pumps, list) or len(pumps) != 2:
-        raise ConfigError(f"{name_hint}.pumps: exactly two pump lines are required")
-    pump_lines = tuple(
-        _parse_pump(p, f"{name_hint}.pumps[{i}]") for i, p in enumerate(pumps)
-    )
-    source = _parse_source(data["source"], f"{name_hint}.source")
-    source2 = (
-        _parse_source(data["source2"], f"{name_hint}.source2") if "source2" in data else None
-    )
-    filter_spec = None
-    if "filter" in data:
-        fsec = _require_mapping(data["filter"], f"{name_hint}.filter")
-        _check_keys(fsec, _FILTER_KEYS, f"{name_hint}.filter")
-        filter_spec = _build(
-            f"{name_hint}.filter",
-            FilterSpec,
-            center_wavelength=_number(fsec, "center_nm", f"{name_hint}.filter", positive=True)
-            * 1e-9,
-            bandwidth=_number(fsec, "bandwidth_nm", f"{name_hint}.filter", positive=True) * 1e-9,
-            profile=fsec.get("profile", "rectangle"),
-            rolloff=_number(fsec, "rolloff", f"{name_hint}.filter", 0.0),
-        )
-    gsec = _require_mapping(data.get("grid", {}), f"{name_hint}.grid")
-    _check_keys(gsec, _GRID_KEYS, f"{name_hint}.grid")
-    axis = _build(
-        f"{name_hint}.grid",
-        make_grid,
-        _number(gsec, "center_nm", f"{name_hint}.grid", 1550.12, positive=True) * 1e-9,
-        _number(gsec, "span_nm", f"{name_hint}.grid", 1.2, positive=True) * 1e-9,
-        _integer(gsec, "points", f"{name_hint}.grid", 401, minimum=2),
-    )
-    frsec = _require_mapping(data.get("fringe", {}), f"{name_hint}.fringe")
-    _check_keys(frsec, _FRINGE_KEYS, f"{name_hint}.fringe")
-    fringe = FringeSettings(
-        phase_min=_number(frsec, "phase_min", f"{name_hint}.fringe", 0.0),
-        phase_max=_number(frsec, "phase_max", f"{name_hint}.fringe", 2.0 * np.pi),
-        steps=_integer(frsec, "steps", f"{name_hint}.fringe", 181, minimum=2),
-    )
-    if not fringe.phase_max > fringe.phase_min:
-        raise ConfigError(f"{name_hint}.fringe: phase_max must exceed phase_min")
-    car = _number(data, "car", name_hint, None, positive=True)
-    ssec = _require_mapping(data.get("squeezing", {}), f"{name_hint}.squeezing")
-    _check_keys(ssec, _SQUEEZE_KEYS, f"{name_hint}.squeezing")
-    squeezing = SqueezingSettings(
-        xi=_number(ssec, "xi", f"{name_hint}.squeezing", 0.1),
-        eta=_number(ssec, "eta", f"{name_hint}.squeezing", 1.0),
-    )
-    if squeezing.xi < 0:
-        raise ConfigError(f"{name_hint}.squeezing.xi: must be >= 0, got {squeezing.xi}")
-    if not 0.0 <= squeezing.eta <= 1.0:
-        raise ConfigError(f"{name_hint}.squeezing.eta: must be in [0, 1], got {squeezing.eta}")
-    return Scenario(
-        name=data["name"],
-        pumps=pump_lines,
-        source=source,
-        source2=source2,
-        filter_spec=filter_spec,
-        axis=axis,
-        fringe=fringe,
-        car=car,
-        squeezing=squeezing,
-        raw=data,
-    )
+    """Validate a scenario mapping (strict: unknown keys fail) and convert it to SI."""
+    return Scenario(**_fields(data, _TOP, name_hint), raw=data)
 
 
 def load_scenario(path) -> Scenario:

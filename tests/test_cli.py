@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from biphoton import pipeline
 from biphoton.cli import (
@@ -186,6 +187,25 @@ def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
 
 
 @pytest.mark.parametrize(
+    "verb, key",
+    [("purity", "source.pump_comb_index"), ("stats", "grid.points"), ("fringe", "fringe.steps")],
+)
+def test_main_integer_beyond_float_range_exits_two(tmp_path, capsys, verb, key):
+    data = {
+        "name": "huge-integer",
+        "pumps": [{"wavelength_nm": 1544.08}, {"wavelength_nm": 1556.18}],
+        "source": {"kind": "ring", "q_factor": 1.5e4, "fsr_nm": 3.025, "resonance_nm": 1550.12},
+        "grid": {"span_nm": 1.2, "points": 61},
+    }
+    section, name = key.split(".")
+    data.setdefault(section, {})[name] = 10**400
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main([verb, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}.{key}: must be finite, got {10**400}\n"
+
+
+@pytest.mark.parametrize(
     "section, message",
     [
         ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: raised_cosine, rolloff: 2}\n",
@@ -196,13 +216,19 @@ def test_main_non_finite_value_exits_two(tmp_path, capsys, pumps):
         # 1e-320 nm is positive but underflows to a 0 m resonance
         ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1.0e-320}\n",
          "source2: center_wavelength must be finite and positive"),
+        # 1e-300 nm is positive, but its angular frequency overflows
+        ("source2: {kind: waveguide, length_mm: 1.0, reference_wavelength_nm: 1.0e-300}\n",
+         "source2: reference_wavelength must be finite and positive"),
         # 600 FSRs below 1550.12 nm is -265 nm
         ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, pump_comb_index: 600}\n",
          "source2: the pump1 resonance must be at a positive wavelength"),
         ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, detuning_p2_nm: -1600}\n",
          "source2: the pump2 resonance must be at a positive wavelength"),
     ],
-    ids=["rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow", "pump1_negative", "pump2_negative"],
+    ids=[
+        "rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow", "reference_overflow",
+        "pump1_negative", "pump2_negative",
+    ],
 )
 def test_main_domain_constructor_error_exits_two(tmp_path, capsys, section, message):
     path = tmp_path / "bad_domain.yaml"

@@ -1,13 +1,15 @@
-"""Property tests of the JSA builders over random devices, pumps and grids."""
+"""Property tests of the JSA builders over random devices, pumps and grids, and of scenario parsing."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import sources
 from biphoton.dispersion import DispersionModel
+from biphoton.errors import ConfigError
+from biphoton.scenario import Scenario, scenario_from_dict
 from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
 from biphoton.sources import (
     RingSource,
@@ -24,6 +26,7 @@ from biphoton.spectral import (
     pump_amplitude,
     wavelength_to_omega,
 )
+from test_scenario import edited, full_dict
 
 W0 = float(wavelength_to_omega(1550.12e-9))
 GHZ = 2 * np.pi * 1e9
@@ -140,3 +143,45 @@ def test_node_peaks_bound_the_pump_product(
     largest = np.abs(a[:, None] * pump_amplitude(pump2, sums[None, :] - nodes[:, None])).max(axis=1)
     # a few ulps for |a * b| against |a| * |b|, and an absolute 1e-300 where they are subnormal
     assert np.all(sources._node_peaks(a, pump2, nodes, sums) >= largest * (1.0 - 1e-15) - 1e-300)
+
+
+
+def key_paths(data, prefix=""):
+    """The dotted path of every key in every section of ``data``."""
+    items = enumerate(data) if isinstance(data, list) else data.items()
+    for key, value in items:
+        path = f"{prefix}{key}"
+        if not isinstance(data, list):
+            yield path
+        if isinstance(value, (dict, list)):
+            yield from key_paths(value, path + ".")
+
+
+# (source kind, dotted path); source2 is absent from the scenarios, so it is set as a whole
+SCENARIO_KEYS = sorted(
+    {(kind, path) for kind in ("waveguide", "ring") for path in key_paths(full_dict(kind))}
+    | {("waveguide", "source2")}
+)
+any_values = st.one_of(
+    st.integers(-3, 3),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400)]),
+    st.floats(),  # nan and +-inf included
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(SCENARIO_KEYS), value=any_values)
+@example(key=("ring", "source.pump_comb_index"), value=10**400)
+@example(key=("waveguide", "source.reference_wavelength_nm"), value=1e-300)
+def test_any_scenario_value_loads_or_is_a_config_error(key, value):
+    kind, path = key
+    try:
+        assert isinstance(scenario_from_dict(edited(kind, {path: value})), Scenario)
+    except ConfigError:
+        pass

@@ -1,5 +1,7 @@
 import copy
+import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -538,3 +540,49 @@ def test_error_message(kind, edits, message):
     with pytest.raises(ConfigError) as info:
         scenario_from_dict(edited(kind, edits), name_hint="case")
     assert str(info.value) == message
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "scenarios.md"
+# "# required ...", "# optional, default <value> ..." or "# optional ..."
+KEY_LINE = re.compile(
+    r"^(?P<indent> *)(?:- )?(?P<key>\w+):(?P<value>[^#]*)"
+    r"#\s*(?P<status>required|optional)(?:, default (?P<default>[^\s;,]+))?"
+)
+
+
+def test_documented_schema_matches_the_tables():
+    # read line by line, not as YAML: the block shows both kinds of source under one key
+    block = DOCS.read_text(encoding="utf-8").split("```yaml\n", 1)[1].split("```", 1)[0]
+    tables = {
+        "top": scenario._TOP,
+        "pumps": scenario._PUMP,
+        "waveguide": scenario._WAVEGUIDE,
+        "ring": scenario._RING,
+        "filter": scenario._FILTER,
+        "grid": scenario._GRID,
+        "fringe": scenario._FRINGE,
+        "squeezing": scenario._SQUEEZING,
+    }
+    documented = {name: set() for name in tables}
+    section = None
+    for line in block.splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        match = KEY_LINE.match(line)
+        assert match, f"no key with a required/optional comment: {line!r}"
+        key = match["key"]
+        if not match["indent"]:
+            name, section = "top", key
+        elif key == "kind":
+            name = section = match["value"].strip()
+        else:
+            name = section
+        row = tables[name].get(key)
+        assert row is not None, f"{name}.{key} is documented but not in the schema"
+        assert (match["status"] == "required") == (row.default is scenario._REQUIRED), key
+        if match["default"] is not None:
+            assert yaml.safe_load(match["default"]) == row.default, key
+        elif match["status"] == "optional":  # a section whose keys carry the defaults, or none
+            assert row.default in (None, {}), f"{key}: default {row.default} is not documented"
+        documented[name].add(key)
+    assert documented == {name: set(table) for name, table in tables.items()}
