@@ -125,7 +125,7 @@ def _fields(section, table: dict, path: str) -> dict:
     kwargs = {}
     for key, (arg, expects, default, scale, rule) in table.items():
         value = section.get(key, default)
-        if key in section or value is not None:
+        if key in section or value is not None:  # an absent key without a default stays None
             where = f"{path}.{key}"
             if expects is not None:
                 expected, types = expects
@@ -146,10 +146,10 @@ def _fields(section, table: dict, path: str) -> dict:
     return kwargs
 
 
-def _build(path: str, constructor, *args, **kwargs):
+def _build(path: str, constructor, **kwargs):
     """Call a domain constructor; its InvalidArgumentError becomes a ConfigError at ``path``."""
     try:
-        return constructor(*args, **kwargs)
+        return constructor(**kwargs)
     except InvalidArgumentError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -160,7 +160,8 @@ def _section(table: dict, constructor):
 
 
 def _waveguide(length, reference_wavelength, beta2, beta3) -> WaveguideSource:
-    with np.errstate(divide="ignore", over="ignore"):  # 1e-300 nm is positive, its omega is not finite
+    # a positive wavelength such as 1e-300 nm can still give an infinite omega
+    with np.errstate(divide="ignore", over="ignore"):
         reference_omega = float(wavelength_to_omega(reference_wavelength))
     if not math.isfinite(reference_omega):
         raise InvalidArgumentError(
