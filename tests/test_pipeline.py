@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from biphoton import pipeline, sources
+from biphoton import cli, pipeline, sources
 from biphoton.cli import main
-from biphoton.errors import DegenerateInputError
+from biphoton.errors import ConfigError, DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
 from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
 from biphoton.sources import (
@@ -246,6 +246,22 @@ def test_purity_survival_is_the_whole_grid_survival():
         else:  # from the ring's factors: the same sum, taken in another order
             assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
+
+
+@pytest.mark.parametrize("filtered", [True, False])
+def test_unsupported_source_type_is_a_config_error(filtered):
+    scenario = dataclasses.replace(load_bundled(WAVEGUIDE), source=object())
+    with pytest.raises(ConfigError, match="^scenario source has unsupported type object$"):
+        pipeline.build_jsa(scenario, n_points=201, filtered=filtered)
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-filter"]], ids=["filtered", "no_filter"])
+@pytest.mark.parametrize("verb", ["jsi", "purity", "schmidt", "fringe", "stats"])
+def test_unsupported_source_type_exits_two(tmp_path, monkeypatch, capsys, verb, flags):
+    scenario = dataclasses.replace(load_bundled(WAVEGUIDE), source=object())
+    monkeypatch.setattr(cli, "load_bundled", lambda name: scenario)
+    assert main([verb, "--scenario", WAVEGUIDE, "--grid-points", "201"] + flags + out_flag(tmp_path, verb)) == 2
+    assert capsys.readouterr().err == "config error: scenario source has unsupported type object\n"
 
 
 @pytest.mark.parametrize("verb", ["purity", "schmidt", "jsi"])
