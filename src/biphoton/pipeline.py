@@ -2,6 +2,8 @@
 
 Scenario -> JSA (optionally filtered) -> Schmidt spectrum, overlap,
 fringes and squeezing statistics. The CLI only formats what these return.
+Each source kind's builder and filtered block live in ``sources``; this
+module finds the filter passband, dispatches and normalizes the block.
 """
 from __future__ import annotations
 
@@ -18,16 +20,14 @@ from .schmidt import (
     visibility_from_overlap,
 )
 from .sources import (
-    MIN_SURVIVAL,
     RingSource,
     WaveguideSource,
     _normalize,
-    apply_filter,
     build_ring_jsa,
     build_waveguide_jsa,
     filter_survival,
     filtered_ring_block,
-    norm2_bound,
+    filtered_waveguide_block,
 )
 from .spectral import FrequencyGrid, sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
@@ -42,12 +42,12 @@ TABLE1_ROWS = (
 )
 
 
-def _source_jsa(scenario: Scenario, source, grid: FrequencyGrid):
-    """The unfiltered, unit-normalized JSA of one source on ``grid``."""
+def _builders(source):
+    """(whole-grid builder, filtered-block function) of the source's kind, both from ``sources``."""
     if isinstance(source, WaveguideSource):
-        return build_waveguide_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
+        return build_waveguide_jsa, filtered_waveguide_block
     if isinstance(source, RingSource):
-        return build_ring_jsa(scenario.pumps[0], scenario.pumps[1], source, grid)
+        return build_ring_jsa, filtered_ring_block
     raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
 
 
@@ -66,29 +66,15 @@ def _filtered_jsa(scenario: Scenario, source, n_points: int):
     """(JSA, survival): the filtered JSA, normalized on the passband sub-grid.
 
     The passband is scenario-grid points lo to hi, where the filter is
-    sampled; filtering raises below MIN_SURVIVAL of the whole grid's norm.
-    A ring takes the block and that survival from one evaluation of its
-    factors. A waveguide is built on the passband (survival None): its
-    filtered norm over ``norm2_bound`` bounds the survival from below, and
-    where that cannot clear MIN_SURVIVAL the whole grid is built and
-    filtered, then cut to the passband and renormalized there.
+    sampled. The source's block function gives the block and the whole
+    grid's survival, or None where a waveguide's window only bounded it.
     """
     grid = scenario.grid(n_points)
-    spec = scenario.filter_spec
-    samples = sample_filter(spec, grid)
+    samples = sample_filter(scenario.filter_spec, grid)
     lo, hi = _passband_window(samples)
     window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
-    if isinstance(source, RingSource):
-        values, survival = filtered_ring_block(*scenario.pumps, source, grid, samples, lo, hi)
-        return _normalize(window, values, "filtering"), survival
-    try:
-        part = _source_jsa(scenario, source, window)
-        min_survival = MIN_SURVIVAL * norm2_bound(*scenario.pumps, grid) / part.norm2_before
-        return apply_filter(part, spec, min_survival, samples[lo : hi + 1]), None
-    except DegenerateInputError:
-        # the window is all zero or cannot certify the survival: the whole grid decides
-        whole = apply_filter(_source_jsa(scenario, source, grid), spec, samples=samples)
-        return _normalize(window, whole.values[lo : hi + 1, lo : hi + 1].copy(), "filtering"), None
+    values, survival = _builders(source)[1](*scenario.pumps, source, grid, samples, lo, hi)
+    return _normalize(window, values, "filtering"), survival
 
 
 def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
@@ -96,7 +82,8 @@ def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: b
     source = source or scenario.source
     if filtered and scenario.filter_spec is not None:
         return _filtered_jsa(scenario, source, n_points)[0]
-    return _source_jsa(scenario, source, scenario.grid(n_points))
+    grid = scenario.grid(n_points)
+    return _builders(source)[0](*scenario.pumps, source, grid)
 
 
 def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
@@ -140,19 +127,17 @@ def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
     """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
 
     Survival is the fraction of the unfiltered JSA's norm, over the whole
-    grid, that the filter passes. A ring's comes with its filtered JSA from
-    one evaluation of its factors; a waveguide's unfiltered JSA is built on
-    the whole grid and released before the filtered one, so the two are
-    never held together.
+    grid, that the filter passes. It comes with the filtered JSA, except
+    where a waveguide's window only bounded it: then the unfiltered JSA is
+    built on the whole grid for it.
     """
     spec = scenario.filter_spec if filtered else None
     if spec is None:
         jsa, survival = build_jsa(scenario, n_points=n_points, filtered=False), 1.0
-    elif isinstance(scenario.source, RingSource):
-        jsa, survival = _filtered_jsa(scenario, scenario.source, n_points)
     else:
-        survival = filter_survival(build_jsa(scenario, n_points=n_points, filtered=False), spec)
-        jsa = _filtered_jsa(scenario, scenario.source, n_points)[0]
+        jsa, survival = _filtered_jsa(scenario, scenario.source, n_points)
+        if survival is None:
+            survival = filter_survival(build_jsa(scenario, n_points=n_points, filtered=False), spec)
     spectrum = schmidt_decompose(jsa)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 

@@ -386,14 +386,11 @@ def _require_survival(survival: float, min_survival: float) -> float:
     return survival
 
 
-def _filtered(
-    jsa: JointSpectralAmplitude, spec: FilterSpec, min_survival: float, samples: np.ndarray = None
-):
-    """The filtered values of a normalized JSA and the fraction of its L2 norm they keep."""
+def _filtered(jsa: JointSpectralAmplitude, samples: np.ndarray, min_survival: float = MIN_SURVIVAL):
+    """A normalized JSA's values times the filter ``samples`` on both arms, and the fraction of its L2 norm they keep."""
     if not jsa.norm_applied:
         raise InvalidArgumentError("filtering expects a normalized JSA")
-    f = sample_filter(spec, jsa.grid) if samples is None else samples
-    filtered = jsa.values * (f[:, None] * f[None, :])
+    filtered = jsa.values * (samples[:, None] * samples[None, :])
     return filtered, _require_survival(sum_abs2(filtered) * jsa.measure, min_survival)
 
 
@@ -403,7 +400,7 @@ def filter_survival(jsa: JointSpectralAmplitude, spec: FilterSpec) -> float:
     This is the heralding-efficiency proxy; below MIN_SURVIVAL the filter
     annihilates the spectrum and a DegenerateInputError is raised.
     """
-    return _filtered(jsa, spec, MIN_SURVIVAL)[1]
+    return _filtered(jsa, sample_filter(spec, jsa.grid))[1]
 
 
 def filtered_ring_block(
@@ -429,18 +426,34 @@ def filtered_ring_block(
     return _ring_values(h[2 * lo : 2 * hi + 1], lor[lo : hi + 1] * samples[lo : hi + 1]), survival
 
 
-def apply_filter(
-    jsa: JointSpectralAmplitude,
-    spec: FilterSpec,
-    min_survival: float = MIN_SURVIVAL,
-    samples: np.ndarray = None,
-) -> JointSpectralAmplitude:
+def filtered_waveguide_block(
+    pump1: PumpLine, pump2: PumpLine, guide: WaveguideSource, grid: FrequencyGrid,
+    samples: np.ndarray, lo: int, hi: int,
+):
+    """(values, survival) of the guide's filtered JSA, not normalized, on points
+    lo..hi of ``grid``, outside which ``samples`` (the filter on ``grid``) is zero.
+
+    The guide is built on those points' sub-grid; its filtered norm over
+    ``norm2_bound`` bounds the whole grid's survival from below, and where
+    that clears MIN_SURVIVAL the survival is None. Otherwise, or if the
+    window is all zero, the whole grid is built, filtered, normalized and
+    cut to lo..hi, and the survival is exact.
+    """
+    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
+    try:
+        part = build_waveguide_jsa(pump1, pump2, guide, window)
+        min_survival = MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) / part.norm2_before
+        return _filtered(part, samples[lo : hi + 1], min_survival)[0], None
+    except DegenerateInputError:
+        # the window is all zero or cannot certify the survival: the whole grid decides
+        filtered, survival = _filtered(build_waveguide_jsa(pump1, pump2, guide, grid), samples)
+        return _normalize(grid, filtered, "filtering").values[lo : hi + 1, lo : hi + 1].copy(), survival
+
+
+def apply_filter(jsa: JointSpectralAmplitude, spec: FilterSpec) -> JointSpectralAmplitude:
     """Apply one amplitude filter to both signal and idler and re-normalize.
 
     Raises like ``filter_survival``. Filtering both axes by the same
-    profile keeps a symmetric JSA symmetric. ``samples``, when given, is
-    the filter's transmission on ``jsa.grid`` taken from a grid that
-    contains it, so that the filter edges snap as they do on that grid.
+    profile keeps a symmetric JSA symmetric.
     """
-    filtered, _ = _filtered(jsa, spec, min_survival, samples)
-    return _normalize(jsa.grid, filtered, "filtering")
+    return _normalize(jsa.grid, _filtered(jsa, sample_filter(spec, jsa.grid))[0], "filtering")

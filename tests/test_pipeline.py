@@ -100,6 +100,21 @@ def out_flag(tmp_path, verb):
     return ["--out", str(tmp_path / "out.csv")] if verb in ("jsi", "schmidt") else []
 
 
+def waveguide_builds(monkeypatch, record=lambda source, grid: grid.n_points):
+    """A list that gets ``record(source, grid)`` for every waveguide build: the
+    filtered blocks run in ``sources``, the whole-grid JSAs in ``pipeline``."""
+    builds = []
+    build = sources.build_waveguide_jsa
+
+    def spy(pump1, pump2, source, grid):
+        builds.append(record(source, grid))
+        return build(pump1, pump2, source, grid)
+
+    for module in (sources, pipeline):
+        monkeypatch.setattr(module, "build_waveguide_jsa", spy)
+    return builds
+
+
 @pytest.mark.parametrize("n_points", [201, 401, 801])
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_window_matches_whole_grid_on_bundled_scenarios(name, n_points):
@@ -153,14 +168,7 @@ def test_one_point_passband_at_grid_end(index, window):
 
 
 def test_bundled_window_needs_no_whole_grid_build(monkeypatch):
-    sizes = []
-
-    def spy(pump1, pump2, source, grid, *args, **kwargs):
-        sizes.append(grid.n_points)
-        return build(pump1, pump2, source, grid, *args, **kwargs)
-
-    build = pipeline.build_waveguide_jsa
-    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    sizes = waveguide_builds(monkeypatch)
     pipeline.build_jsa(load_bundled(WAVEGUIDE))
     assert sizes == [54]  # the 0.8 nm passband of the 401-point grid
 
@@ -185,14 +193,7 @@ def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, caps
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
     survival = filter_survival(pipeline.build_jsa(scenario, filtered=False), scenario.filter_spec)
     assert 1e-12 <= survival <= 1e-6
-    sizes = []
-
-    def spy(pump1, pump2, source, grid, *args, **kwargs):
-        sizes.append(grid.n_points)
-        return build(pump1, pump2, source, grid, *args, **kwargs)
-
-    build = pipeline.build_waveguide_jsa
-    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    sizes = waveguide_builds(monkeypatch)
     windowed = pipeline.build_jsa(scenario)
     assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
     monkeypatch.undo()
@@ -210,14 +211,7 @@ def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monke
     # the 15 mm guide falls back to the whole grid; the 0.24 mm guide is certified on its window
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
     scenario = dataclasses.replace(scenario, source2=load_bundled("sipic1_waveguide_0p24mm").source)
-    sizes = []
-
-    def spy(pump1, pump2, source, grid, *args, **kwargs):
-        sizes.append((source.length, grid.n_points))
-        return build(pump1, pump2, source, grid, *args, **kwargs)
-
-    build = pipeline.build_waveguide_jsa
-    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy)
+    sizes = waveguide_builds(monkeypatch, lambda source, grid: (source.length, grid.n_points))
     jsa1 = pipeline.build_jsa(scenario, scenario.source)
     jsa2 = pipeline.build_jsa(scenario, scenario.source2)
     monkeypatch.undo()
@@ -246,6 +240,17 @@ def test_purity_survival_is_the_whole_grid_survival():
         else:  # from the ring's factors: the same sum, taken in another order
             assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
+
+
+def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
+    scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
+    sizes = waveguide_builds(monkeypatch)
+    report = pipeline.purity_report(scenario)
+    monkeypatch.undo()
+    assert sizes == [52, 201]  # the window, then the whole grid, which gives the survival too
+    unfiltered = pipeline.build_jsa(scenario, filtered=False)
+    assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
+    assert report["purity"] == pipeline.schmidt_spectrum(scenario).purity
 
 
 @pytest.mark.parametrize("filtered", [True, False])
@@ -278,14 +283,14 @@ def test_filtered_ring_request_evaluates_the_factors_once(tmp_path, monkeypatch,
     ring_factors = sources._ring_factors
     monkeypatch.setattr(sources, "_ring_factors", spy)
     monkeypatch.setattr(sources, "norm2_bound", no_bound)
-    monkeypatch.setattr(pipeline, "norm2_bound", no_bound)
     assert main([verb, "--scenario", RING] + out_flag(tmp_path, verb)) == 0
     assert grids == [load_bundled(RING).grid()]  # once, on the scenario grid: no window, no fallback
 
 
 def embedded_then_filtered(scenario, n_points):
     """The reference (decision, JSA). A waveguide's window build is embedded in
-    the scenario grid, then filtered there with the same certificate and fallback;
+    the scenario grid, then filtered there if its filtered norm over the
+    unfiltered norm's bound clears MIN_SURVIVAL, else the whole grid decides;
     a ring's JSA is built and filtered on the whole grid."""
     grid = scenario.grid(n_points)
     spec = scenario.filter_spec
@@ -293,12 +298,14 @@ def embedded_then_filtered(scenario, n_points):
     ring = isinstance(scenario.source, RingSource)
     if not ring:
         try:
-            part = pipeline._source_jsa(scenario, scenario.source, window)
+            part = sources.build_waveguide_jsa(*scenario.pumps, scenario.source, window)
             values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
             values[lo : hi + 1, lo : hi + 1] = part.values
             embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
             bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-            return "window", apply_filter(embedded, spec, MIN_SURVIVAL * bound / part.norm2_before)
+            if filter_survival(embedded, spec) < MIN_SURVIVAL * bound / part.norm2_before:
+                raise DegenerateInputError("the window cannot certify the survival")
+            return "window", apply_filter(embedded, spec)
         except DegenerateInputError:
             pass
     try:
@@ -319,7 +326,7 @@ def block_filtered(scenario, n_points, monkeypatch):
 
         return run
 
-    monkeypatch.setattr(pipeline, "build_waveguide_jsa", spy(pipeline.build_waveguide_jsa))
+    monkeypatch.setattr(sources, "build_waveguide_jsa", spy(sources.build_waveguide_jsa))
     monkeypatch.setattr(sources, "_ring_factors", spy(sources._ring_factors))
     try:
         out = pipeline.build_jsa(scenario, n_points=n_points)
