@@ -27,6 +27,11 @@ from .sources import RingSource, WaveguideSource
 # libyaml's safe loader where PyYAML was built with it (same resolver, about 5x faster)
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _GHZ = 2.0 * np.pi * 1e9  # linewidths are quoted as ordinary-frequency FWHM
+# Upper bounds on the counts, for memory. A whole-grid waveguide build peaks
+# near 4.5 N x N complex arrays (16 N^2 bytes each): about 290 MB at 2001
+# points. A fringe scan keeps about 250 bytes per step: 250 MB at 10**6.
+MAX_GRID_POINTS = 2001
+MAX_FRINGE_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,8 @@ class Scenario:
             return self.axis
         if n_points < 2:
             raise ConfigError(f"grid points must be >= 2, got {n_points}")
+        if n_points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid points must be <= {MAX_GRID_POINTS}, got {n_points}")
         return replace(self.axis, n_points=n_points)
 
     def content_hash(self) -> str:
@@ -98,10 +105,12 @@ def _positive(value, path: str):
     return value
 
 
-def _at_least(minimum: int):
+def _in_range(minimum: int, maximum=math.inf):
     def rule(value, path: str):
         if value < minimum:
             raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+        if value > maximum:
+            raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
         return value
 
     return rule
@@ -189,7 +198,7 @@ _RING = {
     "q_factor": _Row("q_factor", _NUMBER, rule=_positive),
     "fsr_nm": _Row("fsr", _NUMBER, _REQUIRED, 1e-9, _positive),
     "resonance_nm": _Row("center_wavelength", _NUMBER, _REQUIRED, 1e-9, _positive),
-    "pump_comb_index": _Row("pump_comb_index", _INTEGER, 2, rule=_at_least(1)),
+    "pump_comb_index": _Row("pump_comb_index", _INTEGER, 2, rule=_in_range(1)),
     "detuning_p1_nm": _Row("detuning_p1", _NUMBER, 0.0, 1e-9),
     "detuning_p2_nm": _Row("detuning_p2", _NUMBER, 0.0, 1e-9),
 }
@@ -203,12 +212,12 @@ _FILTER = {
 _GRID = {
     "center_nm": _Row("center_wavelength", _NUMBER, 1550.12, 1e-9, _positive),
     "span_nm": _Row("span", _NUMBER, 1.2, 1e-9, _positive),
-    "points": _Row("n_points", _INTEGER, 401, rule=_at_least(2)),
+    "points": _Row("n_points", _INTEGER, 401, rule=_in_range(2, MAX_GRID_POINTS)),
 }
 _FRINGE = {
     "phase_min": _Row("phase_min", _NUMBER, 0.0),
     "phase_max": _Row("phase_max", _NUMBER, 2.0 * np.pi),
-    "steps": _Row("steps", _INTEGER, 181, rule=_at_least(2)),
+    "steps": _Row("steps", _INTEGER, 181, rule=_in_range(2, MAX_FRINGE_STEPS)),
 }
 _SQUEEZING = {"xi": _Row("xi", _NUMBER, 0.1), "eta": _Row("eta", _NUMBER, 1.0)}
 
@@ -274,7 +283,7 @@ def load_scenario(path) -> Scenario:
             data = yaml.load(handle, Loader=_LOADER)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. an integer over 4300 digits
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
     if data is None:
         raise ConfigError(f"{path}: empty scenario; missing required key 'pumps'")

@@ -6,10 +6,10 @@ from biphoton import sources
 
 
 def parse(text, loader):
-    """The data ``loader`` gives for ``text``, or the type of its error."""
+    """The data ``loader`` gives for ``text``, or the type of its error (as ``load_scenario`` catches them)."""
     try:
         return yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
         return type(exc)
 
 

@@ -132,6 +132,12 @@ def test_main_grid_points_below_two_exits_two(capsys, points):
     assert "grid points must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["purity", "--scenario", RING], ["table1"]], ids=["purity", "table1"])
+def test_main_grid_points_over_the_limit_exits_two(capsys, argv):
+    assert main(argv + ["--grid-points", str(10**21)]) == 2
+    assert capsys.readouterr().err == f"config error: grid points must be <= 2001, got {10**21}\n"
+
+
 @pytest.mark.parametrize("car", ["0", "-1", "nan", "inf"])
 def test_main_non_positive_or_non_finite_car_exits_two(capsys, car):
     argv = ["fringe", "--scenario", RING, "--grid-points", str(N_SMALL), f"--car={car}"]
@@ -203,6 +209,26 @@ def test_main_integer_beyond_float_range_exits_two(tmp_path, capsys, verb, key):
     path.write_text(yaml.safe_dump(data))
     assert main([verb, "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == f"config error: {path}.{key}: must be finite, got {10**400}\n"
+
+
+@pytest.mark.parametrize(
+    "verb, line, message",
+    [
+        # PyYAML's int() refuses it: "Exceeds the limit (4300 digits) ..."
+        ("purity", "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, "
+         f"pump_comb_index: 1{'0' * 5000}}}\n", "malformed YAML in {path}: Exceeds the limit"),
+        ("purity", f"grid: {{points: {10**30}}}\n", f"{{path}}.grid.points: must be <= 2001, got {10**30}"),
+        ("fringe", f"fringe: {{steps: {10**30}}}\n", f"{{path}}.fringe.steps: must be <= 1000000, got {10**30}"),
+    ],
+    ids=["5000_digits", "grid_points_1e30", "fringe_steps_1e30"],
+)
+def test_main_huge_integer_exits_two(tmp_path, capsys, verb, line, message):
+    path = tmp_path / "huge.yaml"
+    source = "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
+    text = "name: huge\npumps:\n  - {wavelength_nm: 1544.08}\n  - {wavelength_nm: 1556.18}\n"
+    path.write_text(text + (line if line.startswith("source") else source + line))
+    assert main([verb, "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,15 @@ def test_fringe_phases_cover_requested_range():
     assert phases[-1] == pytest.approx(3.14)
 
 
+def test_counts_at_their_limits_load():
+    data = minimal_dict(grid={"points": scenario.MAX_GRID_POINTS}, fringe={"steps": scenario.MAX_FRINGE_STEPS})
+    sc = scenario_from_dict(data)
+    assert sc.grid().n_points == sc.grid(scenario.MAX_GRID_POINTS).n_points == 2001
+    assert sc.fringe.steps == 10**6
+    with pytest.raises(ConfigError, match="^grid points must be <= 2001, got 2002$"):
+        sc.grid(2002)
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [
@@ -466,6 +475,8 @@ ERROR_MESSAGES = [
     ("waveguide", {"grid.points": True}, "case.grid.points: expected an integer, got True"),
     ("waveguide", {"grid.points": 1}, "case.grid.points: must be >= 2, got 1"),
     ("waveguide", {"grid.points": -1}, "case.grid.points: must be >= 2, got -1"),
+    ("waveguide", {"grid.points": 2002}, "case.grid.points: must be <= 2001, got 2002"),
+    ("waveguide", {"grid.points": 10**30}, f"case.grid.points: must be <= 2001, got {10**30}"),
     # the fringe scan
     ("waveguide", {"fringe.phases": 3}, "case.fringe.phases: unknown key"),
     ("waveguide", {"fringe.phase_min": "x"}, "case.fringe.phase_min: expected a number, got 'x'"),
@@ -475,6 +486,8 @@ ERROR_MESSAGES = [
     ("waveguide", {"fringe.phase_max": 0.0}, "case.fringe: phase_max must exceed phase_min"),
     ("waveguide", {"fringe.steps": 2.0}, "case.fringe.steps: expected an integer, got 2.0"),
     ("waveguide", {"fringe.steps": 1}, "case.fringe.steps: must be >= 2, got 1"),
+    ("waveguide", {"fringe.steps": 10**6 + 1}, "case.fringe.steps: must be <= 1000000, got 1000001"),
+    ("waveguide", {"fringe.steps": 10**30}, f"case.fringe.steps: must be <= 1000000, got {10**30}"),
     # squeezing
     ("waveguide", {"squeezing.gain": 1}, "case.squeezing.gain: unknown key"),
     ("waveguide", {"squeezing.xi": "x"}, "case.squeezing.xi: expected a number, got 'x'"),
