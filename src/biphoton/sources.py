@@ -387,7 +387,8 @@ def _require_survival(survival: float, min_survival: float) -> float:
 
 
 def _filtered(jsa: JointSpectralAmplitude, samples: np.ndarray, min_survival: float = MIN_SURVIVAL):
-    """A normalized JSA's values times the filter ``samples`` on both arms, and the fraction of its L2 norm they keep."""
+    """A normalized JSA's values times the filter ``samples`` on both arms, and the
+    fraction of its L2 norm they keep."""
     if not jsa.norm_applied:
         raise InvalidArgumentError("filtering expects a normalized JSA")
     filtered = jsa.values * (samples[:, None] * samples[None, :])

@@ -6,7 +6,7 @@ from biphoton import sources
 
 
 def parse(text, loader):
-    """The data ``loader`` gives for ``text``, or the type of its error (as ``load_scenario`` catches them)."""
+    """The data ``loader`` gives for ``text``, or the type of the error that ``load_scenario`` catches."""
     try:
         return yaml.load(text, Loader=loader)
     except (yaml.YAMLError, ValueError) as exc:

@@ -212,21 +212,23 @@ def test_main_integer_beyond_float_range_exits_two(tmp_path, capsys, verb, key):
 
 
 @pytest.mark.parametrize(
-    "verb, line, message",
+    "verb, ring_keys, section, message",
     [
         # PyYAML's int() refuses it: "Exceeds the limit (4300 digits) ..."
-        ("purity", "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12, "
-         f"pump_comb_index: 1{'0' * 5000}}}\n", "malformed YAML in {path}: Exceeds the limit"),
-        ("purity", f"grid: {{points: {10**30}}}\n", f"{{path}}.grid.points: must be <= 2001, got {10**30}"),
-        ("fringe", f"fringe: {{steps: {10**30}}}\n", f"{{path}}.fringe.steps: must be <= 1000000, got {10**30}"),
+        ("purity", f", pump_comb_index: 1{'0' * 5000}", "", "malformed YAML in {path}: Exceeds the limit"),
+        ("purity", "", f"grid: {{points: {10**30}}}\n",
+         f"{{path}}.grid.points: must be <= 2001, got {10**30}"),
+        ("fringe", "", f"fringe: {{steps: {10**30}}}\n",
+         f"{{path}}.fringe.steps: must be <= 1000000, got {10**30}"),
     ],
     ids=["5000_digits", "grid_points_1e30", "fringe_steps_1e30"],
 )
-def test_main_huge_integer_exits_two(tmp_path, capsys, verb, line, message):
+def test_main_huge_integer_exits_two(tmp_path, capsys, verb, ring_keys, section, message):
     path = tmp_path / "huge.yaml"
-    source = "source: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12}\n"
-    text = "name: huge\npumps:\n  - {wavelength_nm: 1544.08}\n  - {wavelength_nm: 1556.18}\n"
-    path.write_text(text + (line if line.startswith("source") else source + line))
+    path.write_text(
+        "name: huge\npumps:\n  - {wavelength_nm: 1544.08}\n  - {wavelength_nm: 1556.18}\n"
+        f"source: {{kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12{ring_keys}}}\n" + section
+    )
     assert main([verb, "--scenario", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
 

@@ -265,7 +265,8 @@ def test_unsupported_source_type_is_a_config_error(filtered):
 def test_unsupported_source_type_exits_two(tmp_path, monkeypatch, capsys, verb, flags):
     scenario = dataclasses.replace(load_bundled(WAVEGUIDE), source=object())
     monkeypatch.setattr(cli, "load_bundled", lambda name: scenario)
-    assert main([verb, "--scenario", WAVEGUIDE, "--grid-points", "201"] + flags + out_flag(tmp_path, verb)) == 2
+    argv = [verb, "--scenario", WAVEGUIDE, "--grid-points", "201"] + flags + out_flag(tmp_path, verb)
+    assert main(argv) == 2
     assert capsys.readouterr().err == "config error: scenario source has unsupported type object\n"
 
 
