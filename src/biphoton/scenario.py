@@ -284,7 +284,8 @@ def load_scenario(path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: e.g. an integer over 4300 digits
-        raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
+        # cut Python's advice to call sys.set_int_max_str_digits(), which a CLI user cannot follow
+        raise ConfigError(f"malformed YAML in {path}: {str(exc).partition('; use sys.')[0]}") from exc
     if data is None:
         raise ConfigError(f"{path}: empty scenario; missing required key 'pumps'")
     return scenario_from_dict(data, name_hint=str(path))

@@ -1,7 +1,6 @@
 """Schmidt decomposition, spectral purity, and pairwise JSA overlap."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,9 +10,6 @@ from .sources import JointSpectralAmplitude, sum_abs2
 
 NORM_TOL = 1e-6
 TAIL_REL_TOL = 1e-12
-# OpenBLAS runs a matrix product with m*n*k <= SERIAL_GEMM on the calling thread; a
-# larger one wakes its workers, which spin for about 0.1 s and stall a caller sharing a core
-SERIAL_GEMM = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,35 +67,22 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
 def purity(jsa: JointSpectralAmplitude) -> float:
     """Heralded-photon spectral purity Tr rho^2 = ||B^H B||_F^2 of a normalized JSA, no SVD.
 
-    B is F * step, n x n. B^H B is formed in t x t tiles with
-    t^2 * n <= SERIAL_GEMM, so that BLAS keeps each product on the calling
-    thread, and, B^H B being Hermitian, only on and above its diagonal.
-    This equals ``SchmidtSpectrum.purity`` to rounding, about 1e-15
-    relative.
+    B is F * step, n x n, and B^H B is one matrix product. This equals
+    ``SchmidtSpectrum.purity`` to rounding, about 1e-15 relative. The
+    printed purities were measured to be the same bytes at one and two
+    BLAS threads on 201-, 401- and 801-point grids; CI's ``cmp`` of the
+    ``table1`` output at both thread counts checks it.
     """
     _require_normalized(jsa)
-    n = jsa.grid.n_points
-    # a multiple of 4 columns suits OpenBLAS's complex kernels: 12 runs about
-    # a quarter faster than 15 on a 267-point passband
-    t = max(1, min(n, 4 * (math.isqrt(SERIAL_GEMM // n) // 4)))
-    count = -(-n // t)
-    # zero columns pad B to count tiles; they add nothing to B^H B
-    padded = np.zeros((n, count * t), dtype=complex)
-    padded[:, :n] = jsa.values
-    tiles = padded.reshape(n, count, t).transpose(1, 0, 2)
-    adjoint = tiles.conj().transpose(0, 2, 1)
-    total = 0.0
-    for j in range(count):
-        gram = adjoint[j] @ tiles[j:]  # the tiles (j, j), (j, j + 1), ... of B^H B
-        total += sum_abs2(gram[0]) + 2.0 * sum_abs2(gram[1:])
-    return total * jsa.measure**2
+    b = jsa.values
+    return sum_abs2(b.conj().T @ b) * jsa.measure**2
 
 
 def jsa_overlap(jsa1: JointSpectralAmplitude, jsa2: JointSpectralAmplitude) -> OverlapResult:
     """Overlap N*exp(i*delta) between two sources' joint spectra.
 
-    Both JSAs must live on the same grid and be normalized; to compare
-    filtered sources, pass each through ``apply_filter`` first.
+    Both JSAs must live on the same grid and be normalized;
+    ``pipeline.build_jsa`` puts both sources' filtered JSAs on one passband grid.
     """
     if jsa1.grid != jsa2.grid:
         raise GridMismatchError("jsa_overlap requires both JSAs on identical grids")

@@ -230,7 +230,9 @@ def test_main_huge_integer_exits_two(tmp_path, capsys, verb, ring_keys, section,
         f"source: {{kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1550.12{ring_keys}}}\n" + section
     )
     assert main([verb, "--scenario", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message.format(path=path))
+    assert "set_int_max_str_digits" not in err
 
 
 @pytest.mark.parametrize(

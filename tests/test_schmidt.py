@@ -108,32 +108,16 @@ def test_purity_requires_normalized_jsa():
 
 
 def test_schmidt_coefficients_give_purity():
-    out = gaussian_jsa(n=31, correlation=0.6)
-    spectrum = schmidt_decompose(out)
-    r = spectrum.coefficients
-    assert np.sum(r**2) == spectrum.purity
-    # purity() is Tr rho^2 from the Gram matrix, no SVD: equal to rounding
-    assert purity(out) == pytest.approx(spectrum.purity, rel=1e-13, abs=0.0)
-    expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
-    assert purity(out) == pytest.approx(expected, abs=1e-10)
-
-
-@pytest.mark.parametrize(
-    "gemm, shape",
-    [
-        (1, (41, 41)),  # one column per tile
-        (41 * 8 * 8, (41, 41)),  # 8-column tiles, the last padded by 7 zero columns
-        (1 << 40, (41, 41)),  # the whole Gram matrix in one tile
-        (41 * 12 * 12, (41, 40)),  # 12-column tiles over a JSA whose last column is zero
-    ],
-)
-def test_purity_gram_tiles_agree_with_svd(monkeypatch, gemm, shape):
-    values = gaussian_jsa(correlation=0.8).values.copy()
-    values[:, shape[1] :] = 0.0  # shape is the block holding the non-zero values
-    jsa = jsa_from_values(values)
-    expected = schmidt_decompose(jsa).purity
-    monkeypatch.setattr(schmidt, "SERIAL_GEMM", gemm)
-    assert purity(jsa) == pytest.approx(expected, rel=1e-13)
+    zero_column = gaussian_jsa(correlation=0.8).values.copy()
+    zero_column[:, -1] = 0.0  # a 41 x 41 JSA whose last column is zero
+    for out in (gaussian_jsa(n=31, correlation=0.6), jsa_from_values(zero_column)):
+        spectrum = schmidt_decompose(out)
+        r = spectrum.coefficients
+        assert np.sum(r**2) == spectrum.purity
+        # purity() is Tr rho^2 from the Gram matrix, no SVD: equal to rounding
+        assert purity(out) == pytest.approx(spectrum.purity, rel=1e-13, abs=0.0)
+        expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
+        assert purity(out) == pytest.approx(expected, abs=1e-10)
 
 
 def test_schmidt_significant_truncation():
