@@ -108,16 +108,26 @@ def test_purity_requires_normalized_jsa():
 
 
 def test_schmidt_coefficients_give_purity():
-    zero_column = gaussian_jsa(correlation=0.8).values.copy()
-    zero_column[:, -1] = 0.0  # a 41 x 41 JSA whose last column is zero
-    for out in (gaussian_jsa(n=31, correlation=0.6), jsa_from_values(zero_column)):
-        spectrum = schmidt_decompose(out)
-        r = spectrum.coefficients
-        assert np.sum(r**2) == spectrum.purity
-        # purity() is Tr rho^2 from the Gram matrix, no SVD: equal to rounding
-        assert purity(out) == pytest.approx(spectrum.purity, rel=1e-13, abs=0.0)
-        expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
-        assert purity(out) == pytest.approx(expected, abs=1e-10)
+    out = gaussian_jsa(n=31, correlation=0.6)
+    spectrum = schmidt_decompose(out)
+    r = spectrum.coefficients
+    assert np.sum(r**2) == spectrum.purity
+    # purity() is Tr rho^2 from the Gram matrix, no SVD: equal to rounding
+    assert purity(out) == pytest.approx(spectrum.purity, rel=1e-13, abs=0.0)
+    expected = purity_quadruple_sum(out.values, out.grid.step, out.grid.step)
+    assert purity(out) == pytest.approx(expected, abs=1e-10)
+
+
+# shape is the block holding the non-zero values; the case id is the one this
+# zero-column JSA kept from the earlier tiled Gram-matrix loop
+@pytest.mark.parametrize("shape", [pytest.param((41, 40), id="5904-shape3")])
+def test_purity_gram_tiles_agree_with_svd(shape):
+    values = gaussian_jsa(correlation=0.8).values.copy()
+    values[:, shape[1] :] = 0.0
+    jsa = jsa_from_values(values)
+    expected = schmidt_decompose(jsa).purity
+    assert purity(jsa) == pytest.approx(expected, rel=1e-13)
+    assert purity(jsa) == pytest.approx(purity_quadruple_sum(jsa.values, jsa.grid.step, jsa.grid.step), abs=1e-10)
 
 
 def test_schmidt_significant_truncation():
