@@ -2,10 +2,11 @@
 
 Verbs: jsi | purity | schmidt | fringe | stats | table1. This module only
 parses arguments and formats output; the numbers come from ``pipeline``.
-All numeric output is deterministic given the scenario file: values are
-formatted by one shared routine using shortest round-trip decimal
-representation, and files carry a header with the schema version and a
-scenario content hash.
+``--no-filter``, ``--car`` and ``--grid-points`` edit the request's
+scenario before anything is computed. All numeric output is deterministic
+given the scenario file: values are formatted by one shared routine using
+shortest round-trip decimal representation, and files carry a header with
+the schema version and a scenario content hash.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/degenerate input.
 """
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +42,9 @@ def header_line(kind: str, scenario: Scenario = None) -> str:
     return tag
 
 
-def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None, filtered: bool = True) -> str:
+def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None) -> str:
     """Write the JSI grid as CSV with a self-describing header; returns the path."""
-    lam, intensity = pipeline.joint_intensity(scenario, n_points, filtered)
+    lam, intensity = pipeline.joint_intensity(scenario.with_points(n_points))
     # signal and idler share the grid; the header keeps both axes for readers
     n = lam.size
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
@@ -98,14 +100,14 @@ def _declared_shape(handle):
     return shape
 
 
-def cmd_purity(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
+def cmd_purity(scenario: Scenario, n_points: int = None) -> dict:
     """Purity report: {purity, schmidt_tail, survival}."""
-    return pipeline.purity_report(scenario, n_points, filtered)
+    return pipeline.purity_report(scenario.with_points(n_points))
 
 
-def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None, filtered: bool = True) -> str:
+def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None) -> str:
     """Write the Schmidt coefficient spectrum as CSV (index, coefficient)."""
-    spectrum = pipeline.schmidt_spectrum(scenario, n_points, filtered)
+    spectrum = pipeline.schmidt_spectrum(scenario.with_points(n_points))
     lines = [header_line("schmidt", scenario), "mode_index,coefficient"]
     for idx, r in enumerate(spectrum.significant()):
         lines.append(f"{idx},{fmt(r)}")
@@ -113,12 +115,9 @@ def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None, filtere
     return out_path
 
 
-def cmd_fringe(
-    scenario: Scenario, out_path: str = None, n_points: int = None, filtered: bool = True,
-    car: float = None,
-) -> dict:
+def cmd_fringe(scenario: Scenario, out_path: str = None, n_points: int = None) -> dict:
     """Fringe CSV plus the extracted visibility and overlap."""
-    report, raw, norm = pipeline.fringe_report(scenario, n_points, filtered, car)
+    report, raw, norm = pipeline.fringe_report(scenario.with_points(n_points))
     if out_path is not None:
         lines = [
             header_line("fringe", scenario),
@@ -133,9 +132,9 @@ def cmd_fringe(
     return report
 
 
-def cmd_stats(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
+def cmd_stats(scenario: Scenario, n_points: int = None) -> dict:
     """Squeezed-state statistics from the scenario's Schmidt spectrum."""
-    return pipeline.stats_report(scenario, n_points, filtered)
+    return pipeline.stats_report(scenario.with_points(n_points))
 
 
 def cmd_table1(fmt_kind: str = "txt", n_points: int = None) -> str:
@@ -201,24 +200,27 @@ def main(argv=None) -> int:
             sys.stdout.write(cmd_table1(args.fmt, n_points=args.grid_points))
             return 0
         scenario = _resolve_scenario(args.scenario)
-        filtered = not args.no_filter
         if args.command in ("jsi", "schmidt") and not args.out:
             raise ConfigError(f"{args.command} requires --out")
+        if args.no_filter:
+            scenario = replace(scenario, filter_spec=None)
+        if getattr(args, "car", None) is not None:
+            # the scenario file's rule for car, applied to the flag
+            if not (math.isfinite(args.car) and args.car > 0):
+                raise ConfigError(f"--car: must be finite and positive, got {args.car}")
+            scenario = replace(scenario, car=args.car)
         if args.command == "jsi":
-            cmd_jsi(scenario, args.out, args.grid_points, filtered)
+            cmd_jsi(scenario, args.out, args.grid_points)
             print(f"wrote {args.out}")
         elif args.command == "purity":
-            _report(cmd_purity(scenario, args.grid_points, filtered))
+            _report(cmd_purity(scenario, args.grid_points))
         elif args.command == "schmidt":
-            cmd_schmidt(scenario, args.out, args.grid_points, filtered)
+            cmd_schmidt(scenario, args.out, args.grid_points)
             print(f"wrote {args.out}")
         elif args.command == "fringe":
-            # the scenario file's rule for car, applied to the flag
-            if args.car is not None and not (math.isfinite(args.car) and args.car > 0):
-                raise ConfigError(f"--car: must be finite and positive, got {args.car}")
-            _report(cmd_fringe(scenario, args.out, args.grid_points, filtered, args.car))
+            _report(cmd_fringe(scenario, args.out, args.grid_points))
         elif args.command == "stats":
-            _report(cmd_stats(scenario, args.grid_points, filtered))
+            _report(cmd_stats(scenario, args.grid_points))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

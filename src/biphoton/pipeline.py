@@ -1,11 +1,15 @@
 """One pipeline from a scenario to the numbers every report prints.
 
-Scenario -> JSA (optionally filtered) -> Schmidt spectrum, overlap,
-fringes and squeezing statistics. The CLI only formats what these return.
-Each source kind's builder and filtered block live in ``sources``; this
-module finds the filter passband, dispatches and normalizes the block.
+Scenario -> JSA (filtered where the scenario has a filter) -> Schmidt
+spectrum, overlap, fringes and squeezing statistics. Each report takes
+one ``Scenario``, whose grid, filter, CAR and source are the whole
+request. The CLI only formats what these return. Each source kind's
+builder and filtered block live in ``sources``; this module finds the
+filter passband, dispatches and normalizes the block.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .sources import (
     filtered_ring_block,
     filtered_waveguide_block,
 )
-from .spectral import FrequencyGrid, sample_filter
+from .spectral import sample_filter
 from .squeezing import SqueezingSpec, mean_photon_number, trigger_probability
 
 # Table rows: (label, bundled scenario, observed fringe visibility)
@@ -62,31 +66,28 @@ def _passband_window(samples: np.ndarray):
     return lo, hi
 
 
-def _filtered_jsa(scenario: Scenario, source, n_points: int):
+def _filtered_jsa(scenario: Scenario):
     """(JSA, survival): the filtered JSA, normalized on the passband sub-grid.
 
     The passband is scenario-grid points lo to hi, where the filter is
     sampled. The source's block function gives the block and the whole
     grid's survival, or None where a waveguide's window only bounded it.
     """
-    grid = scenario.grid(n_points)
+    grid = scenario.axis
     samples = sample_filter(scenario.filter_spec, grid)
     lo, hi = _passband_window(samples)
-    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
-    values, survival = _builders(source)[1](*scenario.pumps, source, grid, samples, lo, hi)
-    return _normalize(window, values, "filtering"), survival
+    values, survival = _builders(scenario.source)[1](*scenario.pumps, scenario.source, grid, samples, lo, hi)
+    return _normalize(grid.sub_grid(lo, hi), values, "filtering"), survival
 
 
-def build_jsa(scenario: Scenario, source=None, n_points: int = None, filtered: bool = True):
-    """The scenario's normalized JSA: on the filter passband when filtered, else on the scenario grid."""
-    source = source or scenario.source
-    if filtered and scenario.filter_spec is not None:
-        return _filtered_jsa(scenario, source, n_points)[0]
-    grid = scenario.grid(n_points)
-    return _builders(source)[0](*scenario.pumps, source, grid)
+def build_jsa(scenario: Scenario):
+    """The scenario's normalized JSA: on the filter passband where it has a filter, else on its grid."""
+    if scenario.filter_spec is not None:
+        return _filtered_jsa(scenario)[0]
+    return _builders(scenario.source)[0](*scenario.pumps, scenario.source, scenario.axis)
 
 
-def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = True):
+def scenario_overlap(scenario: Scenario):
     """Overlap (N, delta) between the scenario's source pair.
 
     With a single source the pair is two nominally identical devices; the
@@ -94,20 +95,20 @@ def scenario_overlap(scenario: Scenario, n_points: int = None, filtered: bool = 
     (magnitude 1 by construction). A second JSA is built only for a
     distinct ``source2``.
     """
-    jsa1 = build_jsa(scenario, scenario.source, n_points, filtered)
+    jsa1 = build_jsa(scenario)
     if scenario.source2 is None:
         return jsa_overlap(jsa1, jsa1)
-    return jsa_overlap(jsa1, build_jsa(scenario, scenario.source2, n_points, filtered))
+    return jsa_overlap(jsa1, build_jsa(replace(scenario, source=scenario.source2)))
 
 
-def joint_intensity(scenario: Scenario, n_points: int = None, filtered: bool = True):
+def joint_intensity(scenario: Scenario):
     """Grid wavelengths [nm], shared by signal and idler, and the JSI on the scenario grid.
 
     A filtered JSA lives on its passband; its JSI is placed in the scenario
     grid's frame, zero outside the passband.
     """
-    grid = scenario.grid(n_points)
-    jsa = build_jsa(scenario, n_points=n_points, filtered=filtered)
+    grid = scenario.axis
+    jsa = build_jsa(scenario)
     lo = round((jsa.grid.omega_min - grid.omega_min) / grid.step)
     hi = lo + jsa.grid.n_points
     # the block has unit norm on the window's step, which rounding puts a
@@ -118,12 +119,12 @@ def joint_intensity(scenario: Scenario, n_points: int = None, filtered: bool = T
     return grid.wavelengths() * 1e9, intensity
 
 
-def schmidt_spectrum(scenario: Scenario, n_points: int = None, filtered: bool = True):
+def schmidt_spectrum(scenario: Scenario):
     """The Schmidt spectrum of the scenario's JSA, decomposed on the filter passband."""
-    return schmidt_decompose(build_jsa(scenario, n_points=n_points, filtered=filtered))
+    return schmidt_decompose(build_jsa(scenario))
 
 
-def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
+def purity_report(scenario: Scenario) -> dict:
     """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
 
     Survival is the fraction of the unfiltered JSA's norm, over the whole
@@ -131,40 +132,39 @@ def purity_report(scenario: Scenario, n_points: int = None, filtered: bool = Tru
     where a waveguide's window only bounded it: then the unfiltered JSA is
     built on the whole grid for it.
     """
-    spec = scenario.filter_spec if filtered else None
+    spec = scenario.filter_spec
     if spec is None:
-        jsa, survival = build_jsa(scenario, n_points=n_points, filtered=False), 1.0
+        jsa, survival = build_jsa(scenario), 1.0
     else:
-        jsa, survival = _filtered_jsa(scenario, scenario.source, n_points)
+        jsa, survival = _filtered_jsa(scenario)
         if survival is None:
-            survival = filter_survival(build_jsa(scenario, n_points=n_points, filtered=False), spec)
+            survival = filter_survival(build_jsa(replace(scenario, filter_spec=None)), spec)
     spectrum = schmidt_decompose(jsa)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 
 
-def fringe_report(scenario: Scenario, n_points: int = None, filtered: bool = True, car: float = None):
-    """(report, raw p12 scan, normalised p12 scan); ``car`` overrides the scenario's CAR."""
-    overlap = scenario_overlap(scenario, n_points, filtered)
+def fringe_report(scenario: Scenario):
+    """(report, raw p12 scan, normalised p12 scan); the scenario's CAR, if any, corrects the visibility."""
+    overlap = scenario_overlap(scenario)
     phases = scenario.fringe.phases()
     raw = fringe_scan(overlap.magnitude, overlap.phase, phases, normalized=False)
     norm = fringe_scan(overlap.magnitude, overlap.phase, phases, normalized=True)
     visibility = visibility_from_overlap(overlap.magnitude)
-    car = car if car is not None else scenario.car
     report = {
         "overlap": overlap.magnitude,
         "delta": overlap.phase,
         "visibility": visibility,
         "visibility_scan": extract_visibility(raw),
     }
-    if car is not None:
-        report["car"] = car
-        report["corrected_visibility"] = corrected_visibility(visibility, car)
+    if scenario.car is not None:
+        report["car"] = scenario.car
+        report["corrected_visibility"] = corrected_visibility(visibility, scenario.car)
     return report, raw, norm
 
 
-def stats_report(scenario: Scenario, n_points: int = None, filtered: bool = True) -> dict:
+def stats_report(scenario: Scenario) -> dict:
     """Squeezed-state statistics from the scenario's Schmidt spectrum."""
-    spectrum = schmidt_spectrum(scenario, n_points, filtered)
+    spectrum = schmidt_spectrum(scenario)
     settings = scenario.squeezing
     # strong squeezing overflows sinh, in the spec's per-mode arrays: a typed
     # error, not a warning and an inf
@@ -190,6 +190,6 @@ def table1(n_points: int = None) -> list:
     """
     rows = []
     for label, name, observed_v in TABLE1_ROWS:
-        jsa = build_jsa(load_bundled(name), n_points=n_points)
+        jsa = build_jsa(load_bundled(name).with_points(n_points))
         rows.append((label, observed_v, purity(jsa), overlap_from_visibility(observed_v)))
     return rows

@@ -75,6 +75,10 @@ class Scenario:
             raise ConfigError(f"grid points must be <= {MAX_GRID_POINTS}, got {n_points}")
         return replace(self.axis, n_points=n_points)
 
+    def with_points(self, n_points: int = None) -> "Scenario":
+        """The scenario, or a copy whose grid samples the same band at ``n_points`` points."""
+        return self if n_points is None else replace(self, axis=self.grid(n_points))
+
     def content_hash(self) -> str:
         """Deterministic hash of the scenario contents (for output headers)."""
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))

@@ -440,9 +440,8 @@ def filtered_waveguide_block(
     window is all zero, the whole grid is built, filtered, normalized and
     cut to lo..hi, and the survival is exact.
     """
-    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
     try:
-        part = build_waveguide_jsa(pump1, pump2, guide, window)
+        part = build_waveguide_jsa(pump1, pump2, guide, grid.sub_grid(lo, hi))
         min_survival = MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) / part.norm2_before
         return _filtered(part, samples[lo : hi + 1], min_survival)[0], None
     except DegenerateInputError:

@@ -54,6 +54,10 @@ class FrequencyGrid:
     def points(self) -> np.ndarray:
         return self.omega_min + np.arange(self.n_points) * self.step
 
+    def sub_grid(self, lo: int, hi: int) -> "FrequencyGrid":
+        """Points lo..hi of this grid, as a grid of their own: the filter passband's grid."""
+        return FrequencyGrid(self.omega_min + lo * self.step, self.omega_min + hi * self.step, hi - lo + 1)
+
     def wavelengths(self) -> np.ndarray:
         return omega_to_wavelength(self.points())
 
@@ -139,7 +143,8 @@ class FilterSpec:
     """A band-pass filter: amplitude transmission in [0, 1].
 
     ``profile`` is "rectangle" or "raised_cosine"; ``rolloff`` only
-    applies to the latter. ``bandwidth`` is the full width in metres.
+    applies to the latter and must be 0 for a rectangle. ``bandwidth`` is
+    the full width in metres.
     """
 
     center_wavelength: float
@@ -156,6 +161,8 @@ class FilterSpec:
             raise InvalidArgumentError(f"unknown filter profile {self.profile!r}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise InvalidArgumentError(f"rolloff must be in [0, 1], got {self.rolloff}")
+        if self.profile == "rectangle" and self.rolloff != 0.0:
+            raise InvalidArgumentError(f"rolloff must be 0 for the rectangle profile, got {self.rolloff}")
 
 
 def _band_edges(spec: FilterSpec):
@@ -181,7 +188,7 @@ def _rect_mask(grid: FrequencyGrid, omega_lo: float, omega_hi: float) -> np.ndar
 def sample_filter(spec: FilterSpec, grid: FrequencyGrid) -> np.ndarray:
     """Real amplitude transmission of the filter on each grid point."""
     omega_lo, omega_hi = _band_edges(spec)
-    if spec.profile == "rectangle" or spec.rolloff == 0.0:
+    if spec.rolloff == 0.0:  # a rectangle, or a raised cosine without taper
         return _rect_mask(grid, omega_lo, omega_hi)
     center = 0.5 * (omega_lo + omega_hi)
     band = omega_hi - omega_lo

@@ -102,7 +102,7 @@ def test_acceptance_4_waveguide_purity_ordering():
     short_wg = load_bundled("sipic1_waveguide_0p24mm")
     p_long = cmd_purity(long_wg)["purity"]
     p_short = cmd_purity(short_wg)["purity"]
-    p_unfiltered = cmd_purity(long_wg, filtered=False)["purity"]
+    p_unfiltered = cmd_purity(replace(long_wg, filter_spec=None))["purity"]
     elapsed = time.perf_counter() - t0
     bands = (
         abs(p_long - 0.81) <= 0.05
@@ -235,14 +235,14 @@ def test_acceptance_8_joint_spectrum_shapes():
     fwhms = {}
     for name, q in (("sipic1_ring", 1.5e4), ("sipic2_ring", 3.0e4)):
         scenario = load_bundled(name)
-        out = build_jsa(scenario, filtered=False)
+        out = build_jsa(replace(scenario, filter_spec=None))
         marg = (np.abs(out.values) ** 2).sum(axis=1)
         lam_nm = out.grid.wavelengths() * 1e9
         fwhms[name] = marginal_fwhm(lam_nm, marg)
     ring1_ok = abs(fwhms["sipic1_ring"] - 0.10) <= 0.015
     ring2_ok = abs(fwhms["sipic2_ring"] - 0.05) <= 0.0075
     wg = load_bundled("sipic1_waveguide_15mm")
-    out = build_jsa(wg, filtered=True)
+    out = build_jsa(wg)
     lam = out.grid.wavelengths()
     half_band = wg.filter_spec.bandwidth / 2 + out.grid.step * 0  # wavelength test
     in_band = np.abs(lam - wg.filter_spec.center_wavelength) <= half_band * 1.02

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 import warnings
@@ -29,7 +30,7 @@ def test_jsi_round_trips_bit_exactly(tmp_path):
     path = tmp_path / "jsi.csv"
     cmd_jsi(scenario, str(path), n_points=N_SMALL)
     grid = read_jsi(str(path))
-    _, reference = pipeline.joint_intensity(scenario, N_SMALL)
+    _, reference = pipeline.joint_intensity(scenario.with_points(N_SMALL))
     assert grid.shape == (N_SMALL, N_SMALL)
     assert np.array_equal(grid, reference)
 
@@ -242,6 +243,9 @@ def test_main_huge_integer_exits_two(tmp_path, capsys, verb, ring_keys, section,
          r"filter: rolloff must be in \[0, 1\]"),
         ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: raised_cosine, rolloff: -0.5}\n",
          r"filter: rolloff must be in \[0, 1\]"),
+        # a rectangle has no taper: its rolloff is not ignored but refused
+        ("filter: {center_nm: 1550.12, bandwidth_nm: 0.8, profile: rectangle, rolloff: 0.5}\n",
+         r"filter: rolloff must be 0 for the rectangle profile, got 0\.5$"),
         ("grid: {span_nm: 5000, points: 61}\n", "grid: span too large"),
         # 1e-320 nm is positive but underflows to a 0 m resonance
         ("source2: {kind: ring, q_factor: 1.5e+4, fsr_nm: 3.025, resonance_nm: 1.0e-320}\n",
@@ -256,8 +260,8 @@ def test_main_huge_integer_exits_two(tmp_path, capsys, verb, ring_keys, section,
          "source2: the pump2 resonance must be at a positive wavelength"),
     ],
     ids=[
-        "rolloff_2", "rolloff_-0.5", "span_5000", "resonance_underflow", "reference_overflow",
-        "pump1_negative", "pump2_negative",
+        "rolloff_2", "rolloff_-0.5", "rolloff_rectangle", "span_5000", "resonance_underflow",
+        "reference_overflow", "pump1_negative", "pump2_negative",
     ],
 )
 def test_main_domain_constructor_error_exits_two(tmp_path, capsys, section, message):
@@ -305,8 +309,8 @@ def test_main_scenario_from_file(tmp_path, capsys):
 
 def test_no_filter_flag_changes_result(capsys):
     scenario = load_bundled("sipic1_waveguide_15mm")
-    with_filter = cmd_purity(scenario, n_points=101, filtered=True)
-    without = cmd_purity(scenario, n_points=101, filtered=False)
+    with_filter = cmd_purity(scenario, n_points=101)
+    without = cmd_purity(dataclasses.replace(scenario, filter_spec=None), n_points=101)
     assert with_filter["purity"] != without["purity"]
     assert without["survival"] == 1.0
 
@@ -393,3 +397,34 @@ def test_main_unreadable_scenario_exits_two(tmp_path, capsys, kind):
         path.write_bytes("name: café\n".encode("latin-1"))
     assert main(["purity", "--scenario", str(path)]) == 2
     assert "cannot read scenario file" in capsys.readouterr().err
+
+
+# a CLI flag and the scenario-file edit that asks for the same request
+FLAG_EDITS = {
+    "no_filter": (["--no-filter"], lambda raw: raw.pop("filter")),
+    "grid_points": (["--grid-points", "201"], lambda raw: raw["grid"].update(points=201)),
+    "car": (["--car", "50"], lambda raw: raw.update(car=50)),
+}
+VERBS = ("jsi", "purity", "schmidt", "fringe", "stats")
+FLAG_CASES = [(verb, flag) for verb in VERBS for flag in ("no_filter", "grid_points")] + [("fringe", "car")]
+
+
+@pytest.mark.parametrize("name", [RING, "sipic1_waveguide_0p24mm"])
+@pytest.mark.parametrize("verb, flag", FLAG_CASES)
+def test_flag_and_scenario_file_agree(tmp_path, capsys, name, verb, flag):
+    flags, edit = FLAG_EDITS[flag]
+    raw = copy.deepcopy(load_bundled(name).raw)
+    edit(raw)
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out.csv"
+    results = []
+    for argv in ([verb, "--scenario", name] + flags, [verb, "--scenario", str(path)]):
+        if verb in ("jsi", "schmidt", "fringe"):
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        # the header's scenario hash is of the file's contents, so it differs
+        written = re.sub(r" hash=\w+", "", out.read_text()) if out.exists() else None
+        results.append((capsys.readouterr(), written))
+        out.unlink(missing_ok=True)
+    assert results[0] == results[1]

@@ -1,4 +1,6 @@
 """The JSI CSV writer and reader: same text as formatting each entry, bit-exact read-back."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,9 +30,9 @@ def per_value_rows(values):
     return [",".join(fmt(v) for v in row) for row in values]
 
 
-def per_value_jsi(scenario, n_points, filtered):
+def per_value_jsi(scenario, n_points):
     """The JSI file as written by formatting every entry on its own."""
-    lam, intensity = pipeline.joint_intensity(scenario, n_points, filtered)
+    lam, intensity = pipeline.joint_intensity(scenario.with_points(n_points))
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
     lines = [
         header_line("jsi", scenario),
@@ -68,9 +70,11 @@ def test_read_jsi_returns_written_values_bit_for_bit(tmp_path_factory, values):
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_cmd_jsi_matches_per_value_writer(tmp_path, name, filtered):
     scenario = load_bundled(name)
+    if not filtered:
+        scenario = replace(scenario, filter_spec=None)
     path = tmp_path / "jsi.csv"
-    cmd_jsi(scenario, str(path), 61, filtered)
-    assert path.read_bytes() == per_value_jsi(scenario, 61, filtered).encode()
+    cmd_jsi(scenario, str(path), 61)
+    assert path.read_bytes() == per_value_jsi(scenario, 61).encode()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from biphoton.sources import (
     norm2_bound,
     sum_abs2,
 )
-from biphoton.spectral import FilterSpec, FrequencyGrid, omega_to_wavelength, sample_filter
+from biphoton.spectral import FilterSpec, omega_to_wavelength, sample_filter
 
 WAVEGUIDE = "sipic1_waveguide_15mm"
 RING = "sipic1_ring"
@@ -34,20 +34,23 @@ FALLBACK_FILTER = {"center_nm": 1548.75, "bandwidth_nm": 1.5}
 
 def whole_grid(scenario, n_points):
     """The reference: the JSA built on the whole grid, then filtered."""
-    unfiltered = pipeline.build_jsa(scenario, n_points=n_points, filtered=False)
-    return apply_filter(unfiltered, scenario.filter_spec)
+    return apply_filter(unfiltered_jsa(scenario, n_points), scenario.filter_spec)
 
 
 def with_filter(scenario, spec):
     return dataclasses.replace(scenario, filter_spec=spec)
 
 
+def unfiltered_jsa(scenario, n_points=None):
+    """The scenario's JSA without its filter, on the whole grid."""
+    return pipeline.build_jsa(with_filter(scenario.with_points(n_points), None))
+
+
 def passband(scenario, n_points):
     """(lo, hi, grid): the filter passband's first and last scenario-grid index, and its sub-grid."""
     grid = scenario.grid(n_points)
     lo, hi = pipeline._passband_window(sample_filter(scenario.filter_spec, grid))
-    window = FrequencyGrid(grid.omega_min + lo * grid.step, grid.omega_min + hi * grid.step, hi - lo + 1)
-    return lo, hi, window
+    return lo, hi, grid.sub_grid(lo, hi)
 
 
 def cut_to_passband(scenario, n_points, jsa):
@@ -68,8 +71,8 @@ def on_passband(scenario, n_points, jsa):
 
 def assert_matches_whole_grid(scenario, n_points):
     """The windowed JSA, and a ring's survival from its factors, against the whole-grid build."""
-    windowed = pipeline.build_jsa(scenario, n_points=n_points)
-    unfiltered = pipeline.build_jsa(scenario, n_points=n_points, filtered=False)
+    windowed = pipeline.build_jsa(scenario.with_points(n_points))
+    unfiltered = unfiltered_jsa(scenario, n_points)
     reference = apply_filter(unfiltered, scenario.filter_spec)
     assert windowed.grid == passband(scenario, n_points)[2]
     expected = schmidt_decompose(reference).purity
@@ -80,7 +83,7 @@ def assert_matches_whole_grid(scenario, n_points):
     if isinstance(scenario.source, RingSource):  # one set of factors, so no node trim on the window
         block = on_passband(scenario, n_points, reference).values
         assert np.max(np.abs(windowed.values - block)) <= 1e-13 * np.max(np.abs(block))
-        survival = pipeline.purity_report(scenario, n_points)["survival"]
+        survival = pipeline.purity_report(scenario.with_points(n_points))["survival"]
         expected = filter_survival(unfiltered, scenario.filter_spec)
         assert survival == pytest.approx(expected, rel=1e-12, abs=0.0)
     return windowed
@@ -162,9 +165,9 @@ def test_one_point_passband_at_grid_end(index, window):
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
         whole_grid(scenario, 201)
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
-        pipeline.build_jsa(scenario, n_points=201)
+        pipeline.build_jsa(scenario.with_points(201))
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
-        pipeline.purity_report(scenario, 201)  # survival from the ring's factors
+        pipeline.purity_report(scenario.with_points(201))  # survival from the ring's factors
 
 
 def test_bundled_window_needs_no_whole_grid_build(monkeypatch):
@@ -191,7 +194,7 @@ def test_tail_filter_exits_three_on_every_verb(tmp_path, capsys, verb):
 
 def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, capsys):
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
-    survival = filter_survival(pipeline.build_jsa(scenario, filtered=False), scenario.filter_spec)
+    survival = filter_survival(unfiltered_jsa(scenario), scenario.filter_spec)
     assert 1e-12 <= survival <= 1e-6
     sizes = waveguide_builds(monkeypatch)
     windowed = pipeline.build_jsa(scenario)
@@ -212,8 +215,8 @@ def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monke
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
     scenario = dataclasses.replace(scenario, source2=load_bundled("sipic1_waveguide_0p24mm").source)
     sizes = waveguide_builds(monkeypatch, lambda source, grid: (source.length, grid.n_points))
-    jsa1 = pipeline.build_jsa(scenario, scenario.source)
-    jsa2 = pipeline.build_jsa(scenario, scenario.source2)
+    jsa1 = pipeline.build_jsa(scenario)
+    jsa2 = pipeline.build_jsa(dataclasses.replace(scenario, source=scenario.source2))
     monkeypatch.undo()
     short, long = scenario.source2.length, scenario.source.length
     assert sizes == [(long, 52), (long, 201), (short, 52)]
@@ -221,7 +224,7 @@ def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monke
     overlap = pipeline.scenario_overlap(scenario)
     spec = scenario.filter_spec
     whole1, whole2 = (
-        apply_filter(pipeline.build_jsa(scenario, source, filtered=False), spec)
+        apply_filter(unfiltered_jsa(dataclasses.replace(scenario, source=source)), spec)
         for source in (scenario.source, scenario.source2)
     )
     expected = jsa_overlap(whole1, whole2).magnitude
@@ -232,14 +235,14 @@ def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monke
 def test_purity_survival_is_the_whole_grid_survival():
     for name in (WAVEGUIDE, RING):
         scenario = load_bundled(name)
-        report = pipeline.purity_report(scenario, 201)
-        unfiltered = pipeline.build_jsa(scenario, n_points=201, filtered=False)
+        report = pipeline.purity_report(scenario.with_points(201))
+        unfiltered = unfiltered_jsa(scenario, 201)
         expected = filter_survival(unfiltered, scenario.filter_spec)
         if name == WAVEGUIDE:
             assert report["survival"] == expected
         else:  # from the ring's factors: the same sum, taken in another order
             assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert report["purity"] == pipeline.schmidt_spectrum(scenario, 201).purity
+        assert report["purity"] == pipeline.schmidt_spectrum(scenario.with_points(201)).purity
 
 
 def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
@@ -248,7 +251,7 @@ def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
     report = pipeline.purity_report(scenario)
     monkeypatch.undo()
     assert sizes == [52, 201]  # the window, then the whole grid, which gives the survival too
-    unfiltered = pipeline.build_jsa(scenario, filtered=False)
+    unfiltered = unfiltered_jsa(scenario)
     assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
     assert report["purity"] == pipeline.schmidt_spectrum(scenario).purity
 
@@ -256,8 +259,10 @@ def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("filtered", [True, False])
 def test_unsupported_source_type_is_a_config_error(filtered):
     scenario = dataclasses.replace(load_bundled(WAVEGUIDE), source=object())
+    if not filtered:
+        scenario = with_filter(scenario, None)
     with pytest.raises(ConfigError, match="^scenario source has unsupported type object$"):
-        pipeline.build_jsa(scenario, n_points=201, filtered=filtered)
+        pipeline.build_jsa(scenario.with_points(201))
 
 
 @pytest.mark.parametrize("flags", [[], ["--no-filter"]], ids=["filtered", "no_filter"])
@@ -330,7 +335,7 @@ def block_filtered(scenario, n_points, monkeypatch):
     monkeypatch.setattr(sources, "build_waveguide_jsa", spy(sources.build_waveguide_jsa))
     monkeypatch.setattr(sources, "_ring_factors", spy(sources._ring_factors))
     try:
-        out = pipeline.build_jsa(scenario, n_points=n_points)
+        out = pipeline.build_jsa(scenario.with_points(n_points))
     except DegenerateInputError:
         out = None
     finally:
@@ -413,9 +418,10 @@ def test_block_filtering_with_filter_edges_midway_between_grid_points(
 def assert_purities_agree(scenario, n_points, table1_purity=None):
     """purity_report, the Schmidt spectrum's sum of r^2 and Tr rho^2 of the
     passband JSA agree; so does table1's purity, where given."""
-    expected = pipeline.schmidt_spectrum(scenario, n_points).purity
-    others = [pipeline.purity_report(scenario, n_points)["purity"]]
-    others.append(purity(pipeline.build_jsa(scenario, n_points=n_points)))
+    scenario = scenario.with_points(n_points)
+    expected = pipeline.schmidt_spectrum(scenario).purity
+    others = [pipeline.purity_report(scenario)["purity"]]
+    others.append(purity(pipeline.build_jsa(scenario)))
     if table1_purity is not None:
         others.append(table1_purity)
     assert others == pytest.approx([expected] * len(others), rel=1e-12, abs=0.0)

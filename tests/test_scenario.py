@@ -460,6 +460,7 @@ ERROR_MESSAGES = [
     ("waveguide", {"filter.rolloff": "x"}, "case.filter.rolloff: expected a number, got 'x'"),
     ("waveguide", {"filter.rolloff": NAN}, "case.filter.rolloff: must be finite, got nan"),
     ("waveguide", {"filter.rolloff": 2}, "case.filter: rolloff must be in [0, 1], got 2.0"),
+    ("waveguide", {"filter.rolloff": 0.5}, "case.filter: rolloff must be 0 for the rectangle profile, got 0.5"),
     # the grid
     ("waveguide", {"grid.step_nm": 0.01}, "case.grid.step_nm: unknown key"),
     ("waveguide", {"grid.center_nm": "x"}, "case.grid.center_nm: expected a number, got 'x'"),
