@@ -6,7 +6,7 @@ parses arguments and formats output; the numbers come from ``pipeline``.
 scenario before anything is computed. All numeric output is deterministic
 given the scenario file: values are formatted by one shared routine using
 shortest round-trip decimal representation, and files carry a header with
-the schema version and a scenario content hash.
+the schema version and a hash of the scenario as the flags edited it.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/degenerate input.
 """
@@ -44,7 +44,8 @@ def header_line(kind: str, scenario: Scenario = None) -> str:
 
 def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None) -> str:
     """Write the JSI grid as CSV with a self-describing header; returns the path."""
-    lam, intensity = pipeline.joint_intensity(scenario.with_points(n_points))
+    scenario = scenario.with_points(n_points)
+    lam, intensity = pipeline.joint_intensity(scenario)
     # signal and idler share the grid; the header keeps both axes for readers
     n = lam.size
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
@@ -107,7 +108,8 @@ def cmd_purity(scenario: Scenario, n_points: int = None) -> dict:
 
 def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None) -> str:
     """Write the Schmidt coefficient spectrum as CSV (index, coefficient)."""
-    spectrum = pipeline.schmidt_spectrum(scenario.with_points(n_points))
+    scenario = scenario.with_points(n_points)
+    spectrum = pipeline.schmidt_spectrum(scenario)
     lines = [header_line("schmidt", scenario), "mode_index,coefficient"]
     for idx, r in enumerate(spectrum.significant()):
         lines.append(f"{idx},{fmt(r)}")
@@ -117,7 +119,8 @@ def cmd_schmidt(scenario: Scenario, out_path: str, n_points: int = None) -> str:
 
 def cmd_fringe(scenario: Scenario, out_path: str = None, n_points: int = None) -> dict:
     """Fringe CSV plus the extracted visibility and overlap."""
-    report, raw, norm = pipeline.fringe_report(scenario.with_points(n_points))
+    scenario = scenario.with_points(n_points)
+    report, raw, norm = pipeline.fringe_report(scenario)
     if out_path is not None:
         lines = [
             header_line("fringe", scenario),

@@ -10,13 +10,12 @@ import numpy as np
 class DispersionModel:
     """Propagation constant k(omega) as a Taylor polynomial about ``reference_omega``.
 
-    k = beta0 + beta1*d + beta2*d^2/2 + beta3*d^3/6 with d = omega - reference_omega.
-    Units: beta0 [1/m], beta1 [s/m], beta2 [s^2/m], beta3 [s^3/m].
+    k = beta2*d^2/2 + beta3*d^3/6 with d = omega - reference_omega, in [s^2/m] and
+    [s^3/m]. A constant and a linear term would cancel from the phase mismatch
+    k(ws) + k(wi) - k(w) - k(ws + wi - w), so the model has none.
     """
 
     reference_omega: float
-    beta0: float = 0.0
-    beta1: float = 0.0
     beta2: float = 0.0
     beta3: float = 0.0
 
@@ -24,4 +23,4 @@ class DispersionModel:
 def k_of_omega(model: DispersionModel, omega):
     """Evaluate the Taylor polynomial k(omega) [1/m]."""
     d = np.asarray(omega, dtype=float) - model.reference_omega
-    return model.beta0 + d * (model.beta1 + d * (model.beta2 / 2.0 + d * (model.beta3 / 6.0)))
+    return d * (d * (model.beta2 / 2.0 + d * (model.beta3 / 6.0)))

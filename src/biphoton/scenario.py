@@ -10,7 +10,6 @@ docs/scenarios.md.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -80,9 +79,9 @@ class Scenario:
         return self if n_points is None else replace(self, axis=self.grid(n_points))
 
     def content_hash(self) -> str:
-        """Deterministic hash of the scenario contents (for output headers)."""
-        canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode()).hexdigest()[:12]
+        """Hash of the request for output headers: the repr of every field but ``raw``,
+        so a CLI flag's edit changes it and a file with the same values does not."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()[:12]
 
 
 DEFAULT_LINEWIDTH_GHZ = 80.0  # effective CW linewidth; see docs/scenarios.md
@@ -188,7 +187,6 @@ _PUMP = {
     "wavelength_nm": _Row("center_wavelength", _NUMBER, _REQUIRED, 1e-9, _positive),
     "linewidth_ghz": _Row("linewidth_fwhm", _NUMBER, DEFAULT_LINEWIDTH_GHZ, _GHZ, _positive),
     "shape": _Row("shape", None, "gaussian"),
-    "amplitude": _Row("relative_amplitude", _NUMBER, 1.0),
 }
 _WAVEGUIDE = {
     "kind": _Row(None),

@@ -11,7 +11,7 @@ normalize to unit L2 so that sum |F|^2 * ds * di = 1.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,9 +283,7 @@ def build_waveguide_jsa(
     """
     nodes, sums, product = _pump_product(pump1, pump2, grid)
     length = source.length
-    # beta0 and beta1 cancel in dk because ws + wi = w_p1 + w_p2; dropping
-    # them keeps the phases L*k, and their rounding, small
-    model = replace(source.dispersion, beta0=0.0, beta1=0.0)
+    model = source.dispersion
     k = k_of_omega(model, grid.points())
     phase = np.exp(1j * length * k)
     # pairs s <= i in order of their sum index m = s + i, so that a factor

@@ -97,15 +97,12 @@ class PumpLine:
     center_wavelength: float
     linewidth_fwhm: float
     shape: str = "gaussian"  # "gaussian" | "lorentzian"
-    relative_amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if self.linewidth_fwhm <= 0:
             raise InvalidArgumentError(f"linewidth_fwhm must be > 0, got {self.linewidth_fwhm}")
         if self.shape not in ("gaussian", "lorentzian"):
             raise InvalidArgumentError(f"unknown pump shape {self.shape!r}")
-        # a real amplitude would make pump_amplitude return a float array
-        object.__setattr__(self, "relative_amplitude", complex(self.relative_amplitude))
 
     @property
     def center_omega(self) -> float:
@@ -129,13 +126,12 @@ def pump_amplitude(line: PumpLine, omega) -> np.ndarray:
         prof /= -2.0 * sigma**2
         np.exp(prof, out=prof)
         prof /= (np.pi * sigma**2) ** 0.25
-        prof = prof.reshape(omega.shape)
-    else:
-        # complex amplitude Lorentzian; |prof| reaches half its peak at
-        # +- linewidth_fwhm / 2 and |prof|^2 integrates to 1 over the line
-        gamma = line.linewidth_fwhm / (2.0 * np.sqrt(3.0))
-        prof = gamma / ((gamma + 1j * (omega - w0)) * np.sqrt(np.pi * gamma))
-    return line.relative_amplitude * prof
+        # complex, as the Lorentzian is: the ring builder scales the pump product in place by one
+        return prof.reshape(omega.shape).astype(complex)
+    # complex amplitude Lorentzian; |prof| reaches half its peak at
+    # +- linewidth_fwhm / 2 and |prof|^2 integrates to 1 over the line
+    gamma = line.linewidth_fwhm / (2.0 * np.sqrt(3.0))
+    return gamma / ((gamma + 1j * (omega - w0)) * np.sqrt(np.pi * gamma))
 
 
 @dataclass(frozen=True)

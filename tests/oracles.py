@@ -27,10 +27,8 @@ def _lorentzian_amp(omega, w0, fwhm):
 
 def _pump_amp(line, omega):
     if line.shape == "gaussian":
-        prof = _gaussian_amp(omega, line.center_omega, line.linewidth_fwhm)
-    else:
-        prof = _lorentzian_amp(omega, line.center_omega, line.linewidth_fwhm)
-    return line.relative_amplitude * prof
+        return _gaussian_amp(omega, line.center_omega, line.linewidth_fwhm)
+    return _lorentzian_amp(omega, line.center_omega, line.linewidth_fwhm)
 
 
 def _sinc(x):
@@ -41,7 +39,7 @@ def _sinc(x):
 
 def _k_taylor(model, omega):
     d = omega - model.reference_omega
-    return model.beta0 + model.beta1 * d + model.beta2 * d**2 / 2.0 + model.beta3 * d**3 / 6.0
+    return model.beta2 * d**2 / 2.0 + model.beta3 * d**3 / 6.0
 
 
 def _pump_nodes(line, points_per_fwhm, halfwidth_fwhms):

@@ -41,8 +41,19 @@ def test_jsi_header_carries_scenario_hash(tmp_path):
     cmd_jsi(scenario, str(path), n_points=N_SMALL)
     head = path.read_text().splitlines()[0]
     assert head.startswith("# biphoton jsi schema=1")
-    assert scenario.content_hash() in head
+    # the hash is of the request: the scenario on the grid it was computed on
+    assert f" hash={scenario.with_points(N_SMALL).content_hash()}" in head
     assert scenario.name in head
+
+
+@pytest.mark.parametrize("flags", [["--no-filter"], ["--grid-points", str(N_SMALL)]])
+def test_header_hash_records_the_flags(tmp_path, flags):
+    heads = []
+    for extra in ([], flags):
+        out = tmp_path / "jsi.csv"
+        assert main(["jsi", "--scenario", RING, "--out", str(out), *extra]) == 0
+        heads.append(out.read_text().splitlines()[0])
+    assert heads[0] != heads[1]
 
 
 def test_purity_report_fields():
@@ -423,8 +434,8 @@ def test_flag_and_scenario_file_agree(tmp_path, capsys, name, verb, flag):
         if verb in ("jsi", "schmidt", "fringe"):
             argv += ["--out", str(out)]
         assert main(argv) == 0
-        # the header's scenario hash is of the file's contents, so it differs
-        written = re.sub(r" hash=\w+", "", out.read_text()) if out.exists() else None
+        # the header's hash is of the request, so it agrees too
+        written = out.read_text() if out.exists() else None
         results.append((capsys.readouterr(), written))
         out.unlink(missing_ok=True)
     assert results[0] == results[1]

@@ -32,7 +32,8 @@ def per_value_rows(values):
 
 def per_value_jsi(scenario, n_points):
     """The JSI file as written by formatting every entry on its own."""
-    lam, intensity = pipeline.joint_intensity(scenario.with_points(n_points))
+    scenario = scenario.with_points(n_points)
+    lam, intensity = pipeline.joint_intensity(scenario)
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
     lines = [
         header_line("jsi", scenario),

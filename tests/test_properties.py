@@ -1,6 +1,4 @@
 """Property tests of the JSA builders over random devices, pumps and grids, and of scenario parsing."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -69,9 +67,7 @@ def build_ring(pump_pair, source, n_points):
     return build_ring_jsa(*pump_pair, source, make_grid(CENTER, 1.2e-9, n_points))
 
 
-def check_properties(build, pump_pair, source, n_points, phase):
-    p1, p2 = pump_pair
-    turned_pumps = (replace(p1, relative_amplitude=np.exp(1j * phase)), p2)
+def check_properties(build, pump_pair, source, n_points):
     for n in (n_points, n_points + 1):  # one odd and one even grid
         out = build(pump_pair, source, n)
         for jsa in (out, apply_filter(out, BAND)):
@@ -79,24 +75,22 @@ def check_properties(build, pump_pair, source, n_points, phase):
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
         p = purity(out)
         assert 0.0 < p <= 1.0
-        assert purity(build(turned_pumps, source, n)) == pytest.approx(p, rel=1e-12)
         assert jsa_overlap(out, out).magnitude == pytest.approx(1.0, abs=1e-12)
 
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
-phases = st.floats(0.0, 2 * np.pi)
 
 
 @PROPERTY_SETTINGS
-@given(pump_pair=pump_pairs, source=waveguides, n_points=st.integers(30, 64), phase=phases)
-def test_waveguide_builder_properties(pump_pair, source, n_points, phase):
-    check_properties(build_waveguide, pump_pair, source, n_points, phase)
+@given(pump_pair=pump_pairs, source=waveguides, n_points=st.integers(30, 64))
+def test_waveguide_builder_properties(pump_pair, source, n_points):
+    check_properties(build_waveguide, pump_pair, source, n_points)
 
 
 @PROPERTY_SETTINGS
-@given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80), phase=phases)
-def test_ring_builder_properties(pump_pair, source, n_points, phase):
-    check_properties(build_ring, pump_pair, source, n_points, phase)
+@given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80))
+def test_ring_builder_properties(pump_pair, source, n_points):
+    check_properties(build_ring, pump_pair, source, n_points)
 
 
 def check_purity_without_svd(out):

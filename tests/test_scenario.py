@@ -2,12 +2,14 @@ import copy
 import re
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import yaml
 
-from biphoton import scenario
+from biphoton import pipeline, scenario
+from biphoton.cli import header_line
 from biphoton.errors import ConfigError
 from biphoton.scenario import (
     BUNDLED_SCENARIOS,
@@ -179,7 +181,6 @@ def test_counts_at_their_limits_load():
     [
         ("pumps0", "wavelength_nm", float("nan")),
         ("pumps1", "linewidth_ghz", float("inf")),
-        ("pumps0", "amplitude", float("-inf")),
         ("source", "length_mm", float("nan")),
         ("source", "beta2_s2_per_m", float("inf")),
         ("source", "length_mm", 10**400),
@@ -275,7 +276,7 @@ NAN, INF, BIG = float("nan"), float("inf"), 10**400
 
 
 def full_dict(kind):
-    pump = {"linewidth_ghz": 80.0, "shape": "gaussian", "amplitude": 1.0}
+    pump = {"linewidth_ghz": 80.0, "shape": "gaussian"}
     return {
         "name": "full",
         "pumps": [{"wavelength_nm": 1544.08, **pump}, {"wavelength_nm": 1556.18, **pump}],
@@ -289,8 +290,12 @@ def full_dict(kind):
 
 
 def edited(kind, edits):
-    """``full_dict(kind)`` with each dotted path set to its value (or removed); "" is the whole."""
-    data = full_dict(kind)
+    """``full_dict(kind)`` with ``edits`` applied (see ``apply_edits``)."""
+    return apply_edits(full_dict(kind), edits)
+
+
+def apply_edits(data, edits):
+    """``data`` with each dotted path set to its value (or removed); "" is the whole."""
     for path, value in edits.items():
         if not path:
             data = value
@@ -380,9 +385,7 @@ ERROR_MESSAGES = [
      "case.pumps[1].linewidth_ghz: must be positive, got 0"),
     ("waveguide", {"pumps.1.shape": "square"}, "case.pumps[1]: unknown pump shape 'square'"),
     ("waveguide", {"pumps.1.shape": 1}, "case.pumps[1]: unknown pump shape 1"),
-    ("waveguide", {"pumps.1.amplitude": "1"},
-     "case.pumps[1].amplitude: expected a number, got '1'"),
-    ("waveguide", {"pumps.1.amplitude": -INF}, "case.pumps[1].amplitude: must be finite, got -inf"),
+    ("waveguide", {"pumps.1.amplitude": 1.0}, "case.pumps[1].amplitude: unknown key"),
     # a waveguide source
     ("waveguide", {"source.q_factor": 15000.0}, "case.source.q_factor: unknown key"),
     ("waveguide", {"source.length_mm": DELETE}, "case.source.length_mm: missing required key"),
@@ -557,6 +560,16 @@ def test_error_message(kind, edits, message):
 
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "scenarios.md"
+SCHEMA = {
+    "top": scenario._TOP,
+    "pumps": scenario._PUMP,
+    "waveguide": scenario._WAVEGUIDE,
+    "ring": scenario._RING,
+    "filter": scenario._FILTER,
+    "grid": scenario._GRID,
+    "fringe": scenario._FRINGE,
+    "squeezing": scenario._SQUEEZING,
+}
 # "# required ...", "# optional, default <value> ..." or "# optional ..."
 KEY_LINE = re.compile(
     r"^(?P<indent> *)(?:- )?(?P<key>\w+):(?P<value>[^#]*)"
@@ -567,17 +580,7 @@ KEY_LINE = re.compile(
 def test_documented_schema_matches_the_tables():
     # read line by line, not as YAML: the block shows both kinds of source under one key
     block = DOCS.read_text(encoding="utf-8").split("```yaml\n", 1)[1].split("```", 1)[0]
-    tables = {
-        "top": scenario._TOP,
-        "pumps": scenario._PUMP,
-        "waveguide": scenario._WAVEGUIDE,
-        "ring": scenario._RING,
-        "filter": scenario._FILTER,
-        "grid": scenario._GRID,
-        "fringe": scenario._FRINGE,
-        "squeezing": scenario._SQUEEZING,
-    }
-    documented = {name: set() for name in tables}
+    documented = {name: set() for name in SCHEMA}
     section = None
     for line in block.splitlines():
         if not line.strip() or line.startswith("#"):
@@ -591,7 +594,7 @@ def test_documented_schema_matches_the_tables():
             name = section = match["value"].strip()
         else:
             name = section
-        row = tables[name].get(key)
+        row = SCHEMA[name].get(key)
         assert row is not None, f"{name}.{key} is documented but not in the schema"
         assert (match["status"] == "required") == (row.default is scenario._REQUIRED), key
         if match["default"] is not None:
@@ -599,4 +602,131 @@ def test_documented_schema_matches_the_tables():
         elif match["status"] == "optional":  # a section whose keys carry the defaults, or none
             assert row.default in (None, {}), f"{key}: default {row.default} is not documented"
         documented[name].add(key)
-    assert documented == {name: set(table) for name, table in tables.items()}
+    assert documented == {name: set(table) for name, table in SCHEMA.items()}
+
+
+class Perturbation(NamedTuple):
+    """A change to one key of a bundled scenario, made on ACT_POINTS grid points.
+
+    ``condition`` is applied to both sides: the setting under which the key
+    acts. A key that needs one, or that can only change with another key,
+    is listed in the docs' "Keys with a conditional effect".
+    """
+
+    scenario: str
+    edits: dict
+    condition: dict = {}
+
+
+WAVEGUIDE, RING = "sipic1_waveguide_15mm", "sipic1_ring"
+ACT_POINTS = 121  # filter and grid edits move by more than one step, 0.01 nm (ring), 0.05 nm (waveguide)
+PERTURBATIONS = {
+    ("top", "name"): Perturbation(RING, {"name": "renamed"}),
+    ("top", "pumps"): Perturbation(RING, {"pumps": [{"wavelength_nm": 1543.78}, {"wavelength_nm": 1556.53}]}),
+    ("top", "source"): Perturbation(RING, {"source": {**RING_SOURCE, "q_factor": 3e4}}),
+    ("top", "source2"): Perturbation(RING, {"source2": {**RING_SOURCE, "resonance_nm": 1550.135}}),
+    ("top", "filter"): Perturbation(RING, {"filter": DELETE}),
+    ("top", "grid"): Perturbation(RING, {"grid": {"span_nm": 1.0, "points": ACT_POINTS}}),
+    ("top", "fringe"): Perturbation(RING, {"fringe": {"steps": 91}}),
+    ("top", "car"): Perturbation(RING, {"car": 38}),
+    ("top", "squeezing"): Perturbation(RING, {"squeezing": {"xi": 0.2}}),
+    ("pumps", "wavelength_nm"): Perturbation(WAVEGUIDE, {"pumps.0.wavelength_nm": 1544.1}),
+    ("pumps", "linewidth_ghz"): Perturbation(WAVEGUIDE, {"pumps.1.linewidth_ghz": 90.0}),
+    ("pumps", "shape"): Perturbation(WAVEGUIDE, {"pumps.0.shape": "lorentzian"}),
+    ("waveguide", "kind"): Perturbation(WAVEGUIDE, {"source": {**RING_SOURCE, "q_factor": 1e4}}),
+    ("waveguide", "length_mm"): Perturbation(WAVEGUIDE, {"source.length_mm": 16.0}),
+    ("waveguide", "reference_wavelength_nm"): Perturbation(
+        WAVEGUIDE, {"source.reference_wavelength_nm": 1540.0}, {"source.beta3_s3_per_m": 1e-38}
+    ),
+    ("waveguide", "beta2_s2_per_m"): Perturbation(WAVEGUIDE, {"source.beta2_s2_per_m": -1.6e-20}),
+    ("waveguide", "beta3_s3_per_m"): Perturbation(WAVEGUIDE, {"source.beta3_s3_per_m": 1e-38}),
+    ("ring", "kind"): Perturbation(RING, {"source": FULL_WAVEGUIDE}),
+    ("ring", "q_factor"): Perturbation(RING, {"source.q_factor": 1.6e4}),
+    ("ring", "fsr_nm"): Perturbation(RING, {"source.fsr_nm": 3.03}),
+    ("ring", "resonance_nm"): Perturbation(RING, {"source.resonance_nm": 1550.13}),
+    ("ring", "pump_comb_index"): Perturbation(RING, {"source.pump_comb_index": 3}),
+    ("ring", "detuning_p1_nm"): Perturbation(RING, {"source.detuning_p1_nm": 0.01}),
+    ("ring", "detuning_p2_nm"): Perturbation(RING, {"source.detuning_p2_nm": 0.01}),
+    ("filter", "center_nm"): Perturbation(RING, {"filter.center_nm": 1550.15}),
+    ("filter", "bandwidth_nm"): Perturbation(RING, {"filter.bandwidth_nm": 0.9}),
+    ("filter", "profile"): Perturbation(RING, {"filter.profile": "raised_cosine", "filter.rolloff": 0.5}),
+    ("filter", "rolloff"): Perturbation(RING, {"filter.rolloff": 0.5}, {"filter.profile": "raised_cosine"}),
+    ("grid", "center_nm"): Perturbation(RING, {"grid.center_nm": 1550.15}),
+    ("grid", "span_nm"): Perturbation(RING, {"grid.span_nm": 1.0}),
+    ("grid", "points"): Perturbation(RING, {"grid.points": ACT_POINTS + 20}),
+    ("fringe", "phase_min"): Perturbation(RING, {"fringe.phase_min": 0.5}),
+    ("fringe", "phase_max"): Perturbation(RING, {"fringe.phase_max": 5.0}),
+    ("fringe", "steps"): Perturbation(RING, {"fringe.steps": 91}),
+    ("squeezing", "xi"): Perturbation(RING, {"squeezing.xi": 0.2}),
+    ("squeezing", "eta"): Perturbation(RING, {"squeezing.eta": 0.9}),
+}
+# every schema row, and every perturbation, so that a row without one and one without a row both fail
+SCHEMA_ROWS = sorted({(name, key) for name, table in SCHEMA.items() for key in table} | set(PERTURBATIONS))
+
+
+def perturbed_scenario(name, *edit_sets):
+    """The bundled scenario ``name`` on ACT_POINTS points with each set of dotted-path edits applied."""
+    data = apply_edits(copy.deepcopy(load_bundled(name).raw), {"grid.points": ACT_POINTS})
+    for edits in edit_sets:
+        data = apply_edits(data, edits)
+    return scenario_from_dict(data, name_hint=name)
+
+
+def verb_outputs(sc) -> dict:
+    """What the verbs print or write for ``sc``, by name; the header without its hash,
+    which changes with any key."""
+    lam, jsi = pipeline.joint_intensity(sc)
+    report, raw, norm = pipeline.fringe_report(sc)
+    return {
+        "header": header_line("jsi", sc).partition(" hash=")[0],
+        "lambda_nm": lam,
+        "jsi": jsi,
+        **pipeline.purity_report(sc),
+        "schmidt": pipeline.schmidt_spectrum(sc).significant(),
+        **{f"fringe.{key}": value for key, value in report.items()},
+        "phases": raw.phase_values,
+        "p12_raw": raw.probabilities,
+        "p12_norm": norm.probabilities,
+        **{f"stats.{key}": value for key, value in pipeline.stats_report(sc).items()},
+    }
+
+
+def largest_move(before: dict, after: dict) -> float:
+    """The largest change of an output relative to its size; inf where one appears, goes,
+    changes shape or changes text. Outputs below 1e-6 on both sides are rounding floors
+    here (a self-overlap's phase, the Schmidt tail) and are skipped."""
+    worst = 0.0
+    for name in before.keys() | after.keys():
+        if name not in before or name not in after:
+            return np.inf
+        a, b = before[name], after[name]
+        if isinstance(a, str):
+            if a != b:
+                return np.inf
+            continue
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a.shape != b.shape:
+            return np.inf
+        scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+        if scale > 1e-6:
+            worst = max(worst, float(np.abs(a - b).max()) / scale)
+    return worst
+
+
+def conditional_keys() -> str:
+    """The docs' section on keys with a conditional effect."""
+    return DOCS.read_text(encoding="utf-8").split("## Keys with a conditional effect", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.filterwarnings("ignore::biphoton.errors.RingDetuningWarning")  # pump_comb_index parks the pumps off comb
+@pytest.mark.parametrize("row", SCHEMA_ROWS, ids=[f"{name}.{key}" for name, key in SCHEMA_ROWS])
+def test_every_scenario_key_acts(row):
+    name, key = row
+    assert key in SCHEMA[name], f"{name}.{key} has a perturbation but is not in the schema"
+    assert row in PERTURBATIONS, f"{name}.{key}: add a Perturbation under which it acts, or delete the row"
+    case = PERTURBATIONS[row]
+    if case.condition or len(case.edits) > 1:
+        assert f"`{key}`" in conditional_keys(), f"{key} acts only under a condition the docs do not give"
+    before = verb_outputs(perturbed_scenario(case.scenario, case.condition))
+    after = verb_outputs(perturbed_scenario(case.scenario, case.condition, case.edits))
+    assert largest_move(before, after) > 1e-9

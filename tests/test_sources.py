@@ -50,7 +50,7 @@ def pumps():
 def waveguide():
     return WaveguideSource(
         length=0.015,
-        dispersion=DispersionModel(reference_omega=W0, beta0=0.0, beta1=0.0, beta2=-1.5e-20, beta3=0.0),
+        dispersion=DispersionModel(reference_omega=W0, beta2=-1.5e-20, beta3=0.0),
     )
 
 
@@ -274,21 +274,6 @@ def test_bundled_passbands_keep_106_to_107_nodes(name):
     assert np.array_equal(product, every[2][start : start + nodes.size])
 
 
-def test_real_relative_amplitude_builds():
-    p1, p2 = pumps()
-    half = replace(p2, relative_amplitude=0.5)
-    cases = (
-        (build_waveguide_jsa, waveguide(), make_grid(1550.12e-9, 4e-9, 31)),
-        (build_ring_jsa, ring(), make_grid(1550.12e-9, 1.2e-9, 41)),
-    )
-    for build, source, grid in cases:
-        reference = build(p1, p2, source, grid).values
-        # the overall scale drops out of the normalized JSA
-        values = build(p1, half, source, grid).values
-        assert np.max(np.abs(values - reference)) <= 1e-14 * np.max(np.abs(reference))
-    assert isinstance(half.relative_amplitude, complex)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("which", [0, 1])
 def test_nan_pump_center_is_degenerate(which):
@@ -377,14 +362,15 @@ def test_resolution_guard_accepts_q_4e4_ring_at_201_points():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_builder_non_finite_output_is_degenerate():
+def test_builder_non_finite_output_is_degenerate(monkeypatch):
     p1, p2 = pumps()
     nan_dispersion = WaveguideSource(0.015, DispersionModel(W0, beta2=float("nan")))
     with pytest.raises(DegenerateInputError, match="non-finite"):
         build_waveguide_jsa(p1, p2, nan_dispersion, make_grid(1550.12e-9, 6e-9, 41))
-    inf_pump = replace(p1, relative_amplitude=complex(float("inf"), 0.0))
+    # an infinite pump amplitude: no valid input yields one, so the profile is patched
+    monkeypatch.setattr(sources, "pump_amplitude", lambda line, omega: pump_amplitude(line, omega) * np.inf)
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        build_ring_jsa(inf_pump, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
+        build_ring_jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 def test_builder_degenerate_when_pumps_cannot_conserve_energy():
