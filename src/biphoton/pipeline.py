@@ -17,6 +17,7 @@ from .errors import ConfigError, DegenerateInputError
 from .fringes import corrected_visibility, extract_visibility, fringe_scan
 from .scenario import Scenario, load_bundled
 from .schmidt import (
+    OverlapResult,
     jsa_overlap,
     overlap_from_visibility,
     purity,
@@ -91,13 +92,13 @@ def scenario_overlap(scenario: Scenario):
     """Overlap (N, delta) between the scenario's source pair.
 
     With a single source the pair is two nominally identical devices; the
-    builders are deterministic, so the one JSA is overlapped with itself
-    (magnitude 1 by construction). A second JSA is built only for a
-    distinct ``source2``.
+    builders are deterministic, so the overlap is exactly 1 with phase 0 by
+    construction. The JSA is still built, so that it raises as a pair's
+    would. A second JSA is built only for a distinct ``source2``.
     """
     jsa1 = build_jsa(scenario)
     if scenario.source2 is None:
-        return jsa_overlap(jsa1, jsa1)
+        return OverlapResult(magnitude=1.0, phase=0.0)
     return jsa_overlap(jsa1, build_jsa(replace(scenario, source=scenario.source2)))
 
 

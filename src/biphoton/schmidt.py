@@ -6,9 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatchError, InvalidArgumentError
-from .sources import JointSpectralAmplitude, sum_abs2
+from .sources import JointSpectralAmplitude, _require_normalized, sum_abs2
 
-NORM_TOL = 1e-6
 TAIL_REL_TOL = 1e-12
 
 
@@ -106,11 +105,3 @@ def overlap_from_visibility(visibility: float) -> float:
     if not 0.0 <= visibility <= 1.0:
         raise InvalidArgumentError(f"visibility must be in [0, 1], got {visibility}")
     return visibility / (2.0 - visibility)
-
-
-def _require_normalized(jsa: JointSpectralAmplitude):
-    if not jsa.norm_applied:
-        raise InvalidArgumentError("a normalized JSA is required")
-    norm2 = jsa.norm_squared()
-    if abs(norm2 - 1.0) > NORM_TOL:
-        raise InvalidArgumentError(f"JSA norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")

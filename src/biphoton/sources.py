@@ -43,6 +43,8 @@ SINC_SERIES_CUTOFF = 1e-4
 _BLOCK_ENTRIES = 1 << 15  # bounds the entries of one block of pump nodes x pairs
 # a filter passing less than this fraction of the L2 norm annihilates the spectrum
 MIN_SURVIVAL = 1e-12
+# a JSA's L2 norm squared may deviate from 1 by this much
+NORM_TOL = 1e-6
 
 
 def sum_abs2(values: np.ndarray) -> float:
@@ -147,16 +149,10 @@ class RingResonance:
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Discretized complex F(ws, wi), signal-major; signal and idler share one grid.
-
-    ``norm2_before`` is the L2 norm squared of the values before they were
-    scaled to unit norm (None when the values were given already scaled).
-    """
+    """Discretized complex F(ws, wi), signal-major; signal and idler share one grid."""
 
     grid: FrequencyGrid
     values: np.ndarray
-    norm_applied: bool = False
-    norm2_before: float = None
 
     def __post_init__(self):
         n = self.grid.n_points
@@ -171,6 +167,12 @@ class JointSpectralAmplitude:
 
     def norm_squared(self) -> float:
         return sum_abs2(self.values) * self.measure
+
+
+def _require_normalized(jsa: JointSpectralAmplitude):
+    norm2 = jsa.norm_squared()
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise InvalidArgumentError(f"JSA norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
 
 
 def _pump_quadrature(line: PumpLine):
@@ -198,7 +200,7 @@ def _normalize(grid: FrequencyGrid, values: np.ndarray, context: str) -> JointSp
     """Scale ``values`` (a fresh array, scaled in place) to unit L2 norm."""
     norm2 = _require_norm2(sum_abs2(values) * grid.step * grid.step, context)
     values /= np.sqrt(norm2)
-    return JointSpectralAmplitude(grid=grid, values=values, norm_applied=True, norm2_before=norm2)
+    return JointSpectralAmplitude(grid=grid, values=values)
 
 
 def _require_resolved(fwhm: float, grid: FrequencyGrid, what: str):
@@ -243,7 +245,7 @@ def _pump_product(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid):
 
 
 def norm2_bound(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid) -> float:
-    """Upper bound on either builder's ``norm2_before`` on ``grid``.
+    """Upper bound on the L2 norm squared of either builder's values on ``grid``, before normalization.
 
     Both kernels have modulus <= 1 (|exp(ix) sinc x| <= 1, and every ring
     Lorentzian is peak-normalized), so no entry exceeds
@@ -267,10 +269,10 @@ def _mirror(n: int, s: np.ndarray, i: np.ndarray, upper: np.ndarray) -> np.ndarr
     return values
 
 
-def build_waveguide_jsa(
+def _waveguide_values(
     pump1: PumpLine, pump2: PumpLine, source: WaveguideSource, grid: FrequencyGrid
-) -> JointSpectralAmplitude:
-    """Unit-normalized JSA of a waveguide source on a square grid.
+) -> np.ndarray:
+    """A waveguide source's JSA values on a square grid, not normalized.
 
     Integrates a(w) * b(ws + wi - w) * exp(ix) sinc(x) over the first pump
     line's support, with x = L * dk / 2 and dk = K(ws, wi) - G_w(ws + wi),
@@ -323,7 +325,14 @@ def build_waveguide_jsa(
                 q[0] += acc
                 np.sum(q, axis=0, out=acc)
     acc *= -1j
-    return _normalize(grid, _mirror(grid.n_points, s, i, acc), "waveguide builder")
+    return _mirror(grid.n_points, s, i, acc)
+
+
+def build_waveguide_jsa(
+    pump1: PumpLine, pump2: PumpLine, source: WaveguideSource, grid: FrequencyGrid
+) -> JointSpectralAmplitude:
+    """Unit-normalized JSA of a waveguide source on a square grid (see ``_waveguide_values``)."""
+    return _normalize(grid, _waveguide_values(pump1, pump2, source, grid), "waveguide builder")
 
 
 def _ring_factors(pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid):
@@ -375,22 +384,21 @@ def build_ring_jsa(
     return _normalize(grid, _ring_values(*_ring_factors(pump1, pump2, ring, grid)), "ring builder")
 
 
-def _require_survival(survival: float, min_survival: float) -> float:
-    """``survival`` if the filter passes at least ``min_survival`` of the norm."""
-    if survival < min_survival:
+def _require_survival(survival: float) -> float:
+    """``survival`` if the filter passes at least MIN_SURVIVAL of the norm."""
+    if survival < MIN_SURVIVAL:
         raise DegenerateInputError(
             f"filter annihilates the joint spectrum (survival {survival:.3e})"
         )
     return survival
 
 
-def _filtered(jsa: JointSpectralAmplitude, samples: np.ndarray, min_survival: float = MIN_SURVIVAL):
+def _filtered(jsa: JointSpectralAmplitude, samples: np.ndarray):
     """A normalized JSA's values times the filter ``samples`` on both arms, and the
     fraction of its L2 norm they keep."""
-    if not jsa.norm_applied:
-        raise InvalidArgumentError("filtering expects a normalized JSA")
+    _require_normalized(jsa)
     filtered = jsa.values * (samples[:, None] * samples[None, :])
-    return filtered, _require_survival(sum_abs2(filtered) * jsa.measure, min_survival)
+    return filtered, _require_survival(sum_abs2(filtered) * jsa.measure)
 
 
 def filter_survival(jsa: JointSpectralAmplitude, spec: FilterSpec) -> float:
@@ -421,7 +429,7 @@ def filtered_ring_block(
     passed = q * samples ** 2
     total = float(np.sum(weight * np.convolve(q, q)))
     _require_norm2(total * grid.step * grid.step, "ring builder")
-    survival = _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total, MIN_SURVIVAL)
+    survival = _require_survival(float(np.sum(weight * np.convolve(passed, passed))) / total)
     return _ring_values(h[2 * lo : 2 * hi + 1], lor[lo : hi + 1] * samples[lo : hi + 1]), survival
 
 
@@ -432,20 +440,19 @@ def filtered_waveguide_block(
     """(values, survival) of the guide's filtered JSA, not normalized, on points
     lo..hi of ``grid``, outside which ``samples`` (the filter on ``grid``) is zero.
 
-    The guide is built on those points' sub-grid; its filtered norm over
-    ``norm2_bound`` bounds the whole grid's survival from below, and where
-    that clears MIN_SURVIVAL the survival is None. Otherwise, or if the
-    window is all zero, the whole grid is built, filtered, normalized and
-    cut to lo..hi, and the survival is exact.
+    The guide is built on those points' sub-grid, not normalized; its
+    filtered norm over ``norm2_bound`` bounds the whole grid's survival from
+    below, and where that clears MIN_SURVIVAL the survival is None.
+    Otherwise, or if the window is all zero or not finite, the whole grid is
+    built, filtered, normalized and cut to lo..hi, and the survival is exact.
     """
-    try:
-        part = build_waveguide_jsa(pump1, pump2, guide, grid.sub_grid(lo, hi))
-        min_survival = MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) / part.norm2_before
-        return _filtered(part, samples[lo : hi + 1], min_survival)[0], None
-    except DegenerateInputError:
-        # the window is all zero or cannot certify the survival: the whole grid decides
-        filtered, survival = _filtered(build_waveguide_jsa(pump1, pump2, guide, grid), samples)
-        return _normalize(grid, filtered, "filtering").values[lo : hi + 1, lo : hi + 1].copy(), survival
+    sub, window = grid.sub_grid(lo, hi), samples[lo : hi + 1]
+    block = _waveguide_values(pump1, pump2, guide, sub)
+    block *= window[:, None] * window[None, :]
+    if MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) <= sum_abs2(block) * sub.step * sub.step < np.inf:
+        return block, None
+    filtered, survival = _filtered(build_waveguide_jsa(pump1, pump2, guide, grid), samples)
+    return _normalize(grid, filtered, "filtering").values[lo : hi + 1, lo : hi + 1].copy(), survival
 
 
 def apply_filter(jsa: JointSpectralAmplitude, spec: FilterSpec) -> JointSpectralAmplitude:

@@ -140,7 +140,7 @@ def test_acceptance_5_oracle_equivalence(oracle_quadrature):
     err_purity = 0.0
     for _ in range(100):
         values = random_normalized_jsa(rng, 12) / base.step  # unit L2 with measure
-        out = JointSpectralAmplitude(base, values, norm_applied=True)
+        out = JointSpectralAmplitude(base, values)
         err_purity = max(
             err_purity,
             abs(purity(out) - purity_quadruple_sum(values, base.step, base.step)),

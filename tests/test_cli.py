@@ -86,6 +86,13 @@ def test_fringe_report_and_csv(tmp_path):
     assert len(first) == 3
 
 
+@pytest.mark.parametrize("name", [RING, "sipic1_waveguide_15mm"])
+def test_single_source_fringe_prints_exact_self_overlap(capsys, name):
+    # one source overlaps itself: N = 1 and delta = 0 by construction, not to rounding
+    assert main(["fringe", "--scenario", name]) == 0
+    assert "overlap=1.0 delta=0.0 visibility=1.0 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("second_source, builds", [(False, 1), (True, 2)])
 def test_fringe_builds_one_jsa_per_source(monkeypatch, second_source, builds):
     scenario = load_bundled(RING)

@@ -66,7 +66,7 @@ def on_passband(scenario, n_points, jsa):
     window = passband(scenario, n_points)[2]
     cut = cut_to_passband(scenario, n_points, jsa)
     values = cut / np.sqrt(sum_abs2(cut) * window.step * window.step)
-    return JointSpectralAmplitude(window, values, norm_applied=True)
+    return JointSpectralAmplitude(window, values)
 
 
 def assert_matches_whole_grid(scenario, n_points):
@@ -105,16 +105,15 @@ def out_flag(tmp_path, verb):
 
 def waveguide_builds(monkeypatch, record=lambda source, grid: grid.n_points):
     """A list that gets ``record(source, grid)`` for every waveguide build: the
-    filtered blocks run in ``sources``, the whole-grid JSAs in ``pipeline``."""
+    filtered window and every whole-grid JSA run ``sources._waveguide_values``."""
     builds = []
-    build = sources.build_waveguide_jsa
+    build = sources._waveguide_values
 
     def spy(pump1, pump2, source, grid):
         builds.append(record(source, grid))
         return build(pump1, pump2, source, grid)
 
-    for module in (sources, pipeline):
-        monkeypatch.setattr(module, "build_waveguide_jsa", spy)
+    monkeypatch.setattr(sources, "_waveguide_values", spy)
     return builds
 
 
@@ -174,6 +173,21 @@ def test_bundled_window_needs_no_whole_grid_build(monkeypatch):
     sizes = waveguide_builds(monkeypatch)
     pipeline.build_jsa(load_bundled(WAVEGUIDE))
     assert sizes == [54]  # the 0.8 nm passband of the 401-point grid
+
+
+def test_bundled_window_is_normalized_once(monkeypatch):
+    # the window's raw values are filtered and then normalized on the passband, once
+    calls = []
+    normalize = sources._normalize
+
+    def spy(grid, values, context):
+        calls.append(grid.n_points)
+        return normalize(grid, values, context)
+
+    for module in (sources, pipeline):
+        monkeypatch.setattr(module, "_normalize", spy)
+    pipeline.build_jsa(load_bundled(WAVEGUIDE).with_points(401))
+    assert calls == [54]
 
 
 @pytest.mark.parametrize("verb", ["jsi", "purity", "schmidt", "fringe", "stats"])
@@ -304,12 +318,14 @@ def embedded_then_filtered(scenario, n_points):
     ring = isinstance(scenario.source, RingSource)
     if not ring:
         try:
-            part = sources.build_waveguide_jsa(*scenario.pumps, scenario.source, window)
+            raw = sources._waveguide_values(*scenario.pumps, scenario.source, window)
+            norm2 = sum_abs2(raw) * window.step * window.step
+            part = sources._normalize(window, raw, "waveguide builder")
             values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
             values[lo : hi + 1, lo : hi + 1] = part.values
-            embedded = JointSpectralAmplitude(grid, values, norm_applied=True)
+            embedded = JointSpectralAmplitude(grid, values)
             bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-            if filter_survival(embedded, spec) < MIN_SURVIVAL * bound / part.norm2_before:
+            if filter_survival(embedded, spec) < MIN_SURVIVAL * bound / norm2:
                 raise DegenerateInputError("the window cannot certify the survival")
             return "window", apply_filter(embedded, spec)
         except DegenerateInputError:
@@ -322,7 +338,7 @@ def embedded_then_filtered(scenario, n_points):
 
 def block_filtered(scenario, n_points, monkeypatch):
     """(decision, JSA) of ``pipeline.build_jsa``, the decision read from the grids
-    that the waveguide builder and the ring's factors ran on."""
+    that the waveguide's values and the ring's factors were evaluated on."""
     grids = []
 
     def spy(evaluate):
@@ -332,7 +348,7 @@ def block_filtered(scenario, n_points, monkeypatch):
 
         return run
 
-    monkeypatch.setattr(sources, "build_waveguide_jsa", spy(sources.build_waveguide_jsa))
+    monkeypatch.setattr(sources, "_waveguide_values", spy(sources._waveguide_values))
     monkeypatch.setattr(sources, "_ring_factors", spy(sources._ring_factors))
     try:
         out = pipeline.build_jsa(scenario.with_points(n_points))

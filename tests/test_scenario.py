@@ -730,3 +730,13 @@ def test_every_scenario_key_acts(row):
     before = verb_outputs(perturbed_scenario(case.scenario, case.condition))
     after = verb_outputs(perturbed_scenario(case.scenario, case.condition, case.edits))
     assert largest_move(before, after) > 1e-9
+
+
+def test_pump_comb_index_and_fsr_act_through_their_product():
+    # the pump resonances sit pump_comb_index * fsr from the signal resonance, and nothing else reads either
+    docs = conditional_keys()
+    assert "`pump_comb_index`" in docs and "`fsr_nm`" in docs
+    edits = {"source.pump_comb_index": 3, "source.fsr_nm": 3.025 * 2 / 3}
+    edited = scenario_from_dict(apply_edits(copy.deepcopy(load_bundled(RING).raw), edits), name_hint=RING)
+    expected = pipeline.purity_report(load_bundled(RING))["purity"]
+    assert pipeline.purity_report(edited)["purity"] == pytest.approx(expected, rel=1e-12, abs=0.0)

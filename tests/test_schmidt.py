@@ -24,7 +24,7 @@ def jsa_from_values(values, span=1e-9, center=CENTER):
     n = values.shape[0]
     grid = make_grid(center, span, n)
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.step**2)
-    return JointSpectralAmplitude(grid, values / norm, norm_applied=True)
+    return JointSpectralAmplitude(grid, values / norm)
 
 
 def gaussian_jsa(n=41, correlation=0.0):
@@ -47,7 +47,7 @@ def continuum_gaussian(correlation, shift=0.0, phase=0.0, n=81, half=12.0):
     x = np.linspace(-half, half, n) - shift
     values = np.exp(1j * phase - (x[:, None] ** 2 + x[None, :] ** 2) / 2 - correlation * np.outer(x, x))
     norm = np.sqrt(np.sum(np.abs(values) ** 2) * grid.step**2)
-    return JointSpectralAmplitude(grid, values / norm, norm_applied=True)
+    return JointSpectralAmplitude(grid, values / norm)
 
 
 @pytest.mark.parametrize("correlation", [0.3, 0.6, 0.8])
@@ -107,6 +107,21 @@ def test_purity_requires_normalized_jsa():
         purity(raw)
 
 
+@pytest.mark.parametrize("excess, fails", [(5e-7, False), (2e-6, True)])
+def test_every_consumer_checks_the_norm_within_1e_6(excess, fails):
+    # the one check on a JSA's values: schmidt's functions and the filter both run it
+    unit = jsa_from_values(np.ones((11, 11), dtype=complex))
+    off = JointSpectralAmplitude(unit.grid, unit.values * np.sqrt(1.0 + excess))
+    band = FilterSpec(CENTER, 0.5e-9)
+    consumers = (purity, schmidt_decompose, lambda jsa: jsa_overlap(jsa, jsa), lambda jsa: apply_filter(jsa, band))
+    for consume in consumers:
+        if fails:
+            with pytest.raises(InvalidArgumentError, match="^JSA norm\\^2 deviates from 1 by 2.000e-06$"):
+                consume(off)
+        else:
+            consume(off)
+
+
 def test_schmidt_coefficients_give_purity():
     out = gaussian_jsa(n=31, correlation=0.6)
     spectrum = schmidt_decompose(out)
@@ -161,7 +176,7 @@ def test_overlap_requires_matching_grids():
     b_vals = np.ones((21, 21), dtype=complex)
     grid = make_grid(CENTER, 2e-9, 21)
     norm = np.sqrt(np.sum(np.abs(b_vals) ** 2) * grid.step**2)
-    b = JointSpectralAmplitude(grid, b_vals / norm, norm_applied=True)
+    b = JointSpectralAmplitude(grid, b_vals / norm)
     with pytest.raises(GridMismatchError):
         jsa_overlap(a, b)
 
@@ -174,7 +189,7 @@ def test_filtered_overlap_renormalizes():
     outside = np.abs(lam - CENTER) > 0.2e-9
     values2[outside, :] *= 0.1  # differ only outside the band
     norm = np.sqrt(np.sum(np.abs(values2) ** 2) * out1.measure)
-    out2 = JointSpectralAmplitude(out1.grid, values2 / norm, norm_applied=True)
+    out2 = JointSpectralAmplitude(out1.grid, values2 / norm)
     narrow = FilterSpec(CENTER, 0.35e-9)
     assert jsa_overlap(out1, out2).magnitude < 1.0
     res = jsa_overlap(apply_filter(out1, narrow), apply_filter(out2, narrow))
