@@ -1,11 +1,12 @@
 """One pipeline from a scenario to the numbers every report prints.
 
-Scenario -> JSA (filtered where the scenario has a filter) -> Schmidt
-spectrum, overlap, fringes and squeezing statistics. Each report takes
-one ``Scenario``, whose grid, filter, CAR and source are the whole
-request. The CLI only formats what these return. Each source kind's
-builder and filtered block live in ``sources``; this module finds the
-filter passband, dispatches and normalizes the block.
+Scenario -> filtered JSA -> Schmidt spectrum, overlap, fringes and
+squeezing statistics. Each report takes one ``Scenario``, whose grid,
+filter, CAR and source are the whole request. A scenario without a
+filter is filtered by an all-pass filter, so its passband is the whole
+grid. The CLI only formats what these return. Each source kind's
+filtered block lives in ``sources``; this module finds the filter
+passband, dispatches and normalizes the block.
 """
 from __future__ import annotations
 
@@ -28,9 +29,7 @@ from .sources import (
     RingSource,
     WaveguideSource,
     _normalize,
-    build_ring_jsa,
-    build_waveguide_jsa,
-    filter_survival,
+    _require_survival,
     filtered_ring_block,
     filtered_waveguide_block,
 )
@@ -48,11 +47,11 @@ TABLE1_ROWS = (
 
 
 def _builders(source):
-    """(whole-grid builder, filtered-block function) of the source's kind, both from ``sources``."""
+    """The filtered-block function of the source's kind, from ``sources``."""
     if isinstance(source, WaveguideSource):
-        return build_waveguide_jsa, filtered_waveguide_block
+        return filtered_waveguide_block
     if isinstance(source, RingSource):
-        return build_ring_jsa, filtered_ring_block
+        return filtered_ring_block
     raise ConfigError(f"scenario source has unsupported type {type(source).__name__}")
 
 
@@ -60,7 +59,7 @@ def _passband_window(samples: np.ndarray):
     """Indices (lo, hi) of the first and last filter sample that passes, widened to 2 points."""
     support = np.flatnonzero(samples)
     if support.size == 0:
-        raise DegenerateInputError("filter annihilates the joint spectrum (survival 0.000e+00)")
+        _require_survival(0.0)
     lo, hi = int(support[0]), int(support[-1])
     if hi == lo:
         lo, hi = (lo, lo + 1) if lo + 1 < samples.size else (lo - 1, lo)
@@ -71,21 +70,20 @@ def _filtered_jsa(scenario: Scenario):
     """(JSA, survival): the filtered JSA, normalized on the passband sub-grid.
 
     The passband is scenario-grid points lo to hi, where the filter is
-    sampled. The source's block function gives the block and the whole
+    sampled; without a filter every sample is 1, so the passband is the
+    whole grid. The source's block function gives the block and the whole
     grid's survival, or None where a waveguide's window only bounded it.
     """
-    grid = scenario.axis
-    samples = sample_filter(scenario.filter_spec, grid)
+    grid, spec = scenario.axis, scenario.filter_spec
+    samples = np.ones(grid.n_points) if spec is None else sample_filter(spec, grid)
     lo, hi = _passband_window(samples)
-    values, survival = _builders(scenario.source)[1](*scenario.pumps, scenario.source, grid, samples, lo, hi)
+    values, survival = _builders(scenario.source)(*scenario.pumps, scenario.source, grid, samples, lo, hi)
     return _normalize(grid.sub_grid(lo, hi), values, "filtering"), survival
 
 
 def build_jsa(scenario: Scenario):
-    """The scenario's normalized JSA: on the filter passband where it has a filter, else on its grid."""
-    if scenario.filter_spec is not None:
-        return _filtered_jsa(scenario)[0]
-    return _builders(scenario.source)[0](*scenario.pumps, scenario.source, scenario.axis)
+    """The scenario's normalized JSA on its filter passband: the whole grid without a filter."""
+    return _filtered_jsa(scenario)[0]
 
 
 def scenario_overlap(scenario: Scenario):
@@ -128,18 +126,16 @@ def schmidt_spectrum(scenario: Scenario):
 def purity_report(scenario: Scenario) -> dict:
     """Purity and Schmidt tail of the scenario's JSA, and the filter survival.
 
-    Survival is the fraction of the unfiltered JSA's norm, over the whole
-    grid, that the filter passes. It comes with the filtered JSA, except
-    where a waveguide's window only bounded it: then the unfiltered JSA is
-    built on the whole grid for it.
+    Survival is the filtered over the unfiltered norm squared of one
+    unnormalized evaluation on the whole grid: at most 1, and exactly 1
+    where the filter passes every point, as without a filter. Where a
+    waveguide's window only bounded it, the block's whole-band call gives it.
     """
-    spec = scenario.filter_spec
-    if spec is None:
-        jsa, survival = build_jsa(scenario), 1.0
-    else:
-        jsa, survival = _filtered_jsa(scenario)
-        if survival is None:
-            survival = filter_survival(build_jsa(replace(scenario, filter_spec=None)), spec)
+    jsa, survival = _filtered_jsa(scenario)
+    if survival is None:
+        grid = scenario.axis
+        whole_band = (sample_filter(scenario.filter_spec, grid), 0, grid.n_points - 1)
+        survival = filtered_waveguide_block(*scenario.pumps, scenario.source, grid, *whole_band)[1]
     spectrum = schmidt_decompose(jsa)
     return {"purity": spectrum.purity, "schmidt_tail": spectrum.tail, "survival": survival}
 

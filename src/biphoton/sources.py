@@ -245,10 +245,9 @@ def _pump_product(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid):
 
 
 def norm2_bound(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid) -> float:
-    """Upper bound on the L2 norm squared of either builder's values on ``grid``, before normalization.
+    """Upper bound on the L2 norm squared of the waveguide's values on ``grid``, before normalization.
 
-    Both kernels have modulus <= 1 (|exp(ix) sinc x| <= 1, and every ring
-    Lorentzian is peak-normalized), so no entry exceeds
+    The kernel has modulus <= 1 (|exp(ix) sinc x| <= 1), so no entry exceeds
     sum_n w_n * |a(node_n)| * max |b|; |b| peaks at the pump-2 line.
     """
     nodes, weights = _pump_quadrature(pump1)
@@ -440,19 +439,24 @@ def filtered_waveguide_block(
     """(values, survival) of the guide's filtered JSA, not normalized, on points
     lo..hi of ``grid``, outside which ``samples`` (the filter on ``grid``) is zero.
 
-    The guide is built on those points' sub-grid, not normalized; its
-    filtered norm over ``norm2_bound`` bounds the whole grid's survival from
-    below, and where that clears MIN_SURVIVAL the survival is None.
-    Otherwise, or if the window is all zero or not finite, the whole grid is
-    built, filtered, normalized and cut to lo..hi, and the survival is exact.
+    Where lo..hi is narrower than the grid, the guide is built on its sub-grid;
+    the window's filtered norm over ``norm2_bound`` bounds the survival from
+    below, and where that clears MIN_SURVIVAL the survival is None. Otherwise
+    the guide is built once on the whole grid: the survival is its filtered
+    over its unfiltered norm, and the block is cut from the filtered grid.
     """
-    sub, window = grid.sub_grid(lo, hi), samples[lo : hi + 1]
-    block = _waveguide_values(pump1, pump2, guide, sub)
-    block *= window[:, None] * window[None, :]
-    if MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) <= sum_abs2(block) * sub.step * sub.step < np.inf:
-        return block, None
-    filtered, survival = _filtered(build_waveguide_jsa(pump1, pump2, guide, grid), samples)
-    return _normalize(grid, filtered, "filtering").values[lo : hi + 1, lo : hi + 1].copy(), survival
+    if hi - lo + 1 < grid.n_points:
+        sub, window = grid.sub_grid(lo, hi), samples[lo : hi + 1]
+        block = _waveguide_values(pump1, pump2, guide, sub)
+        block *= window[:, None] * window[None, :]
+        if MIN_SURVIVAL * norm2_bound(pump1, pump2, grid) <= sum_abs2(block) * sub.step * sub.step < np.inf:
+            return block, None
+    values = _waveguide_values(pump1, pump2, guide, grid)
+    total = sum_abs2(values)
+    _require_norm2(total * grid.step * grid.step, "waveguide builder")
+    values *= samples[:, None] * samples[None, :]
+    survival = _require_survival(sum_abs2(values) / total)
+    return np.ascontiguousarray(values[lo : hi + 1, lo : hi + 1]), survival  # copies only a sub-block
 
 
 def apply_filter(jsa: JointSpectralAmplitude, spec: FilterSpec) -> JointSpectralAmplitude:

@@ -16,6 +16,8 @@ from biphoton.sources import (
     JointSpectralAmplitude,
     RingSource,
     apply_filter,
+    build_ring_jsa,
+    build_waveguide_jsa,
     filter_survival,
     norm2_bound,
     sum_abs2,
@@ -44,6 +46,16 @@ def with_filter(scenario, spec):
 def unfiltered_jsa(scenario, n_points=None):
     """The scenario's JSA without its filter, on the whole grid."""
     return pipeline.build_jsa(with_filter(scenario.with_points(n_points), None))
+
+
+def raw_whole_grid(scenario, n_points=None):
+    """(JSA, survival) of a waveguide built on the whole grid, not normalized, then
+    filtered; the survival is the filtered over the unfiltered sum of |F|^2."""
+    grid = scenario.grid(n_points)
+    raw = sources._waveguide_values(*scenario.pumps, scenario.source, grid)
+    samples = sample_filter(scenario.filter_spec, grid)
+    filtered = raw * (samples[:, None] * samples[None, :])
+    return JointSpectralAmplitude(grid, filtered), sum_abs2(filtered) / sum_abs2(raw)
 
 
 def passband(scenario, n_points):
@@ -214,10 +226,14 @@ def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, caps
     windowed = pipeline.build_jsa(scenario)
     assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
     monkeypatch.undo()
-    reference = whole_grid(scenario, None)
-    cut = on_passband(scenario, None, reference)
+    # bit for bit: the raw whole grid, filtered, cut to the passband and normalized there
+    cut = on_passband(scenario, None, raw_whole_grid(scenario)[0])
     assert windowed.grid == cut.grid
     assert np.array_equal(windowed.values, cut.values)
+    # and the normalized whole grid, filtered, renormalized and cut, to rounding
+    reference = whole_grid(scenario, None)
+    old = on_passband(scenario, None, reference).values
+    assert np.max(np.abs(windowed.values - old)) <= 1e-12 * np.max(np.abs(old))
     purity = schmidt_decompose(windowed).purity
     assert purity == pytest.approx(schmidt_decompose(reference).purity, rel=1e-12, abs=0.0)
     assert main(["stats", "--scenario", scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER)]) == 0
@@ -252,10 +268,10 @@ def test_purity_survival_is_the_whole_grid_survival():
         report = pipeline.purity_report(scenario.with_points(201))
         unfiltered = unfiltered_jsa(scenario, 201)
         expected = filter_survival(unfiltered, scenario.filter_spec)
-        if name == WAVEGUIDE:
-            assert report["survival"] == expected
-        else:  # from the ring's factors: the same sum, taken in another order
-            assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if name == WAVEGUIDE:  # the raw whole grid's filtered over unfiltered sum
+            assert report["survival"] == raw_whole_grid(scenario, 201)[1]
+        # a ring's from its factors: the same sums, taken in another order
+        assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report["purity"] == pipeline.schmidt_spectrum(scenario.with_points(201)).purity
 
 
@@ -265,9 +281,43 @@ def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
     report = pipeline.purity_report(scenario)
     monkeypatch.undo()
     assert sizes == [52, 201]  # the window, then the whole grid, which gives the survival too
-    unfiltered = unfiltered_jsa(scenario)
-    assert report["survival"] == filter_survival(unfiltered, scenario.filter_spec)
+    assert report["survival"] == raw_whole_grid(scenario)[1]
+    expected = filter_survival(unfiltered_jsa(scenario), scenario.filter_spec)
+    assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert report["purity"] == pipeline.schmidt_spectrum(scenario).purity
+
+
+@pytest.mark.parametrize("name", [WAVEGUIDE, "sipic1_waveguide_0p24mm", RING])
+def test_filter_wider_than_grid_passes_everything_from_one_build(monkeypatch, name):
+    # the whole band is the passband: one whole-grid evaluation, survival exactly 1
+    scenario = load_bundled(name)
+    scenario = with_filter(scenario, FilterSpec(scenario.filter_spec.center_wavelength, 8e-9))
+    assert np.all(sample_filter(scenario.filter_spec, scenario.axis) == 1.0)
+    sizes = waveguide_builds(monkeypatch)
+    report = pipeline.purity_report(scenario)
+    assert report["survival"] == 1.0
+    assert sizes == ([] if name == RING else [401])
+
+
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_no_filter_is_the_all_pass_filter(name):
+    scenario = with_filter(load_bundled(name), None).with_points(201)
+    grid = scenario.axis
+    assert grid.sub_grid(0, grid.n_points - 1) == grid
+    build = build_ring_jsa if isinstance(scenario.source, RingSource) else build_waveguide_jsa
+    expected = build(*scenario.pumps, scenario.source, grid)
+    jsa = pipeline.build_jsa(scenario)
+    assert jsa.grid == expected.grid
+    assert np.array_equal(jsa.values, expected.values)
+    assert pipeline.purity_report(scenario)["survival"] == 1.0
+
+
+def test_empty_passband_message_is_the_survival_check():
+    with pytest.raises(DegenerateInputError) as empty:
+        pipeline._passband_window(np.zeros(5))
+    with pytest.raises(DegenerateInputError) as zero:
+        sources._require_survival(0.0)
+    assert str(empty.value) == str(zero.value) == "filter annihilates the joint spectrum (survival 0.000e+00)"
 
 
 @pytest.mark.parametrize("filtered", [True, False])
