@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/degenerate input.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import re
@@ -43,18 +44,20 @@ def header_line(kind: str, scenario: Scenario = None) -> str:
 
 
 def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None) -> str:
-    """Write the JSI grid as CSV with a self-describing header; returns the path."""
+    """Write the N x N JSI as CSV under a self-describing header, formatting only its passband block."""
     scenario = scenario.with_points(n_points)
-    lam, intensity = pipeline.joint_intensity(scenario)
+    lam, lo, block = pipeline.joint_intensity(scenario)
     # signal and idler share the grid; the header keeps both axes for readers
-    n = lam.size
+    n, hi = lam.size, lo + len(block)
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
     lines = [header_line("jsi", scenario)]
     lines.append(
         f"# nx={n} ny={n} lambda_s_nm_max={lam_max} lambda_s_nm_min={lam_min} "
         f"lambda_i_nm_max={lam_max} lambda_i_nm_min={lam_min}"
     )
-    _write(out_path, lines + _csv_rows(intensity))
+    zeros, before, after = ",".join(["0.0"] * n), "0.0," * lo, ",0.0" * (n - hi)
+    rows = (before + row + after for row in _csv_rows(block))
+    _write(out_path, itertools.chain(lines, [zeros] * lo, rows, [zeros] * (n - hi)))
     return out_path
 
 
@@ -159,7 +162,7 @@ def cmd_table1(fmt_kind: str = "txt", n_points: int = None) -> str:
 def _write(path: str, lines):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.writelines(line + "\n" for line in lines)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

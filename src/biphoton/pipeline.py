@@ -101,21 +101,15 @@ def scenario_overlap(scenario: Scenario):
 
 
 def joint_intensity(scenario: Scenario):
-    """Grid wavelengths [nm], shared by signal and idler, and the JSI on the scenario grid.
-
-    A filtered JSA lives on its passband; its JSI is placed in the scenario
-    grid's frame, zero outside the passband.
-    """
+    """(wavelengths_nm, lo, block): the scenario grid's wavelengths [nm], shared by signal
+    and idler, and the JSI on the filter passband from grid point lo on; zero outside it."""
     grid = scenario.axis
     jsa = build_jsa(scenario)
     lo = round((jsa.grid.omega_min - grid.omega_min) / grid.step)
-    hi = lo + jsa.grid.n_points
     # the block has unit norm on the window's step, which rounding puts a
     # little off the scenario grid's (5e-11 relative on a 2-point window)
     scale = jsa.grid.step / grid.step
-    intensity = np.zeros((grid.n_points, grid.n_points))
-    intensity[lo:hi, lo:hi] = np.abs(jsa.values * scale) ** 2
-    return grid.wavelengths() * 1e9, intensity
+    return grid.wavelengths() * 1e9, lo, np.abs(jsa.values * scale) ** 2
 
 
 def schmidt_spectrum(scenario: Scenario):

@@ -26,9 +26,10 @@ from .sources import RingSource, WaveguideSource
 # libyaml's safe loader where PyYAML was built with it (same resolver, about 5x faster)
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _GHZ = 2.0 * np.pi * 1e9  # linewidths are quoted as ordinary-frequency FWHM
-# Upper bounds on the counts, for memory. A whole-grid waveguide build peaks
-# near 4.5 N x N complex arrays (16 N^2 bytes each): about 290 MB at 2001
-# points. A fringe scan keeps about 250 bytes per step: 250 MB at 10**6.
+# Upper bounds on the counts, for memory. A whole-grid waveguide build peaks near 4.5 N x N
+# complex arrays (16 N^2 bytes each): about 290 MB at 2001 points; a filtered jsi export there
+# adds about 8 MB of peak RSS on the bundled 15 mm guide and 160 MB on the bundled ring. A
+# fringe scan keeps about 250 bytes per step: 250 MB at 10**6.
 MAX_GRID_POINTS = 2001
 MAX_FRINGE_STEPS = 10**6
 

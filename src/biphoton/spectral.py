@@ -40,6 +40,8 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self):
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, (int, np.integer)):
+            raise InvalidArgumentError(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise InvalidArgumentError(f"n_points must be >= 2, got {self.n_points}")
         if not self.omega_max > self.omega_min:
@@ -80,7 +82,7 @@ def make_grid(center_wavelength: float, span: float, n_points: int) -> Frequency
     return FrequencyGrid(
         omega_min=float(wavelength_to_omega(lam_hi)),
         omega_max=float(wavelength_to_omega(lam_lo)),
-        n_points=int(n_points),
+        n_points=n_points,
     )
 
 

@@ -208,6 +208,13 @@ def two_mzi_circuit(f1, f2, phi1, phi2):
     return _pair_probabilities(g_out, 4, f1.shape[0])
 
 
+def jsi_frame(n, lo, block):
+    """The JSI on the n x n scenario grid: the passband block from grid point lo, zeros elsewhere."""
+    frame = np.zeros((n, n))
+    frame[lo : lo + len(block), lo : lo + len(block)] = block
+    return frame
+
+
 def marginal_fwhm(axis, marginal):
     """FWHM of a sampled peaked curve via linear interpolation of crossings."""
     marginal = np.asarray(marginal, dtype=float)

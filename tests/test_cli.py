@@ -20,6 +20,7 @@ from biphoton.cli import (
     read_jsi,
 )
 from biphoton.scenario import load_bundled
+from oracles import jsi_frame
 
 RING = "sipic1_ring"
 N_SMALL = 61
@@ -30,9 +31,9 @@ def test_jsi_round_trips_bit_exactly(tmp_path):
     path = tmp_path / "jsi.csv"
     cmd_jsi(scenario, str(path), n_points=N_SMALL)
     grid = read_jsi(str(path))
-    _, reference = pipeline.joint_intensity(scenario.with_points(N_SMALL))
+    lam, lo, block = pipeline.joint_intensity(scenario.with_points(N_SMALL))
     assert grid.shape == (N_SMALL, N_SMALL)
-    assert np.array_equal(grid, reference)
+    assert np.array_equal(grid, jsi_frame(lam.size, lo, block))
 
 
 def test_jsi_header_carries_scenario_hash(tmp_path):

@@ -1,4 +1,5 @@
 """The JSI CSV writer and reader: same text as formatting each entry, bit-exact read-back."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from biphoton import pipeline
 from biphoton.cli import _csv_rows, _write, cmd_jsi, fmt, header_line, read_jsi
 from biphoton.errors import ConfigError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled
+from biphoton.spectral import FrequencyGrid, sample_filter, wavelength_to_omega
+from oracles import jsi_frame
 
 # the entries a writer that keys on values rather than bit patterns gets wrong,
 # plus the subnormal and infinite ends of float64
@@ -30,17 +33,29 @@ def per_value_rows(values):
     return [",".join(fmt(v) for v in row) for row in values]
 
 
-def per_value_jsi(scenario, n_points):
-    """The JSI file as written by formatting every entry on its own."""
-    scenario = scenario.with_points(n_points)
-    lam, intensity = pipeline.joint_intensity(scenario)
+def per_value_jsi(scenario):
+    """(text, lo): the JSI file as written by formatting every entry of its N x N frame on its own,
+    and the scenario-grid index of the passband's first point."""
+    lam, lo, block = pipeline.joint_intensity(scenario)
     lam_max, lam_min = fmt(lam[0]), fmt(lam[-1])
     lines = [
         header_line("jsi", scenario),
         f"# nx={lam.size} ny={lam.size} lambda_s_nm_max={lam_max} lambda_s_nm_min={lam_min} "
         f"lambda_i_nm_max={lam_max} lambda_i_nm_min={lam_min}",
     ]
-    return "\n".join(lines + per_value_rows(intensity)) + "\n"
+    return "\n".join(lines + per_value_rows(jsi_frame(lam.size, lo, block))) + "\n", lo
+
+
+def on_grid_edge(scenario, edge):
+    """The scenario on a grid moved so that one end is at its filter's centre, where the JSI
+    peaks, with a filter at that end: one point on the top grid point, or the bundled filter
+    overhanging the low edge."""
+    spec, grid = scenario.filter_spec, scenario.axis
+    omega_c, width = float(wavelength_to_omega(spec.center_wavelength)), grid.omega_max - grid.omega_min
+    if edge == "top_point":
+        top = FrequencyGrid(omega_c - width, omega_c, grid.n_points)
+        return replace(scenario, axis=top, filter_spec=replace(spec, bandwidth=0.001e-9))
+    return replace(scenario, axis=FrequencyGrid(omega_c, omega_c + width, grid.n_points))
 
 
 @settings(max_examples=200, deadline=None)
@@ -67,15 +82,38 @@ def test_read_jsi_returns_written_values_bit_for_bit(tmp_path_factory, values):
     assert np.array_equal(back.view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("filtered", [True, False])
+# the bundled filter, none, and passbands at the grid's ends: a one-point filter on the top
+# grid point, which the pipeline widens to lo = N - 2, and a filter overhanging the low edge
+@pytest.mark.parametrize("filtered", [True, False, "top_point", "low_edge"])
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_cmd_jsi_matches_per_value_writer(tmp_path, name, filtered):
     scenario = load_bundled(name)
-    if not filtered:
+    if filtered is False:
         scenario = replace(scenario, filter_spec=None)
+    elif filtered is not True:
+        scenario = on_grid_edge(scenario, filtered)
     path = tmp_path / "jsi.csv"
-    cmd_jsi(scenario, str(path), 61)
-    assert path.read_bytes() == per_value_jsi(scenario, 61).encode()
+    for n_points in (61, 201, 401):
+        cmd_jsi(scenario, str(path), n_points)
+        sc = scenario.with_points(n_points)
+        text, lo = per_value_jsi(sc)
+        assert path.read_bytes() == text.encode()
+        if filtered == "top_point":
+            assert np.flatnonzero(sample_filter(sc.filter_spec, sc.axis)).tolist() == [n_points - 1]
+            assert lo == n_points - 2
+        if filtered == "low_edge":
+            assert lo == 0
+
+
+def test_cmd_jsi_builds_nothing_the_size_of_the_grid(tmp_path):
+    # the 0.8 nm filter keeps 135 of 1001 points per axis; one 1001 x 1001 float64 array is 8 MB
+    tracemalloc.start()
+    try:
+        cmd_jsi(load_bundled("sipic1_waveguide_15mm"), str(tmp_path / "jsi.csv"), 1001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1001**2
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from biphoton.scenario import (
     scenario_from_dict,
 )
 from biphoton.sources import RingSource, WaveguideSource
+from oracles import jsi_frame
 
 
 def minimal_dict(**extra):
@@ -675,12 +676,12 @@ def perturbed_scenario(name, *edit_sets):
 def verb_outputs(sc) -> dict:
     """What the verbs print or write for ``sc``, by name; the header without its hash,
     which changes with any key."""
-    lam, jsi = pipeline.joint_intensity(sc)
+    lam, lo, block = pipeline.joint_intensity(sc)
     report, raw, norm = pipeline.fringe_report(sc)
     return {
         "header": header_line("jsi", sc).partition(" hash=")[0],
         "lambda_nm": lam,
-        "jsi": jsi,
+        "jsi": jsi_frame(lam.size, lo, block),
         **pipeline.purity_report(sc),
         "schmidt": pipeline.schmidt_spectrum(sc).significant(),
         **{f"fringe.{key}": value for key, value in report.items()},

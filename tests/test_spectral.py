@@ -48,6 +48,16 @@ def test_grid_validation():
         FrequencyGrid(2.0, 1.0, 11)
 
 
+@pytest.mark.parametrize("n_points", [3.5, 401.9, 4.0, True, "5"])
+def test_grid_takes_only_integer_point_counts(n_points):
+    # a fractional count would put the last point beyond omega_max
+    with pytest.raises(InvalidArgumentError, match="n_points must be an integer"):
+        FrequencyGrid(1.0, 2.0, n_points)
+    with pytest.raises(InvalidArgumentError, match="n_points must be an integer"):
+        make_grid(1550e-9, 1.2e-9, n_points)
+    assert FrequencyGrid(1.0, 2.0, np.int64(5)).points().size == 5
+
+
 def test_make_grid_symmetric_in_wavelength():
     grid = make_grid(1550e-9, 2e-9, 101)
     lam = grid.wavelengths()
