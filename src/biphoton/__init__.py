@@ -31,9 +31,6 @@ from .sources import (
     JointSpectralAmplitude,
     RingSource,
     WaveguideSource,
-    apply_filter,
-    build_ring_jsa,
-    build_waveguide_jsa,
 )
 from .schmidt import (
     OverlapResult,

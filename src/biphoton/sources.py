@@ -1,12 +1,14 @@
-"""Joint spectral amplitude builders for waveguide and microring pair sources.
+"""Filtered joint spectral amplitudes of waveguide and microring pair sources.
 
-Both builders discretize
+Each source's block function discretizes
 
     F(ws, wi) = [ring factors] * integral dw a(w) * b(ws + wi - w) * kernel(ws, wi, w)
 
 on a square signal/idler grid, integrating the pump convolution with the
-trapezoid rule on a dedicated 1D grid around the first pump line, then
-normalize to unit L2 so that sum |F|^2 * ds * di = 1.
+trapezoid rule on a dedicated 1D grid around the first pump line. It returns
+F times the filter, not normalized, on the block of grid points the filter
+passes, and the fraction of the whole grid's L2 norm the filter passes; the
+pipeline then normalizes the block so that sum |F|^2 * ds * di = 1.
 """
 from __future__ import annotations
 
@@ -24,11 +26,9 @@ from .errors import (
     UnderResolvedError,
 )
 from .spectral import (
-    FilterSpec,
     FrequencyGrid,
     PumpLine,
     pump_amplitude,
-    sample_filter,
     wavelength_to_omega,
 )
 
@@ -234,7 +234,7 @@ def _pump_product(pump1: PumpLine, pump2: PumpLine, grid: FrequencyGrid):
     # Both kernels have modulus <= 1, so the nodes dropped here move an entry
     # of F by less than n_nodes * eps / (2 * n_nodes) = eps / 2 of the largest
     # peak, within the rounding of the trapezoid sum itself. A non-finite
-    # bound keeps every node, and the builder's checks report it.
+    # bound keeps every node, and the block functions' checks report it.
     peak = _node_peaks(a, pump2, nodes, sums)
     if np.all(np.isfinite(peak)):
         kept = np.flatnonzero(peak >= peak.max() * (np.finfo(float).eps / (2 * nodes.size)))
@@ -327,13 +327,6 @@ def _waveguide_values(
     return _mirror(grid.n_points, s, i, acc)
 
 
-def build_waveguide_jsa(
-    pump1: PumpLine, pump2: PumpLine, source: WaveguideSource, grid: FrequencyGrid
-) -> JointSpectralAmplitude:
-    """Unit-normalized JSA of a waveguide source on a square grid (see ``_waveguide_values``)."""
-    return _normalize(grid, _waveguide_values(pump1, pump2, source, grid), "waveguide builder")
-
-
 def _ring_factors(pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid):
     """(h, l): the ring JSA's pump sum on the grid's 2N-1 signal+idler sums
     and the signal/idler resonance Lorentzian on the grid points."""
@@ -370,19 +363,6 @@ def _ring_values(h: np.ndarray, lor: np.ndarray) -> np.ndarray:
     return values
 
 
-def build_ring_jsa(
-    pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid
-) -> JointSpectralAmplitude:
-    """Unit-normalized JSA of a microring source.
-
-    F(ws, wi) = h(ws + wi) * l(ws) * l(wi): the pump convolution h, weighted
-    by the two pump-resonance Lorentzians, depends only on the sum
-    frequency, and signal and idler pick up the degenerate-resonance
-    Lorentzian l (Helt et al., Opt. Lett. 35, 3006 (2010)).
-    """
-    return _normalize(grid, _ring_values(*_ring_factors(pump1, pump2, ring, grid)), "ring builder")
-
-
 def _require_survival(survival: float) -> float:
     """``survival`` if the filter passes at least MIN_SURVIVAL of the norm."""
     if survival < MIN_SURVIVAL:
@@ -392,35 +372,20 @@ def _require_survival(survival: float) -> float:
     return survival
 
 
-def _filtered(jsa: JointSpectralAmplitude, samples: np.ndarray):
-    """A normalized JSA's values times the filter ``samples`` on both arms, and the
-    fraction of its L2 norm they keep."""
-    _require_normalized(jsa)
-    filtered = jsa.values * (samples[:, None] * samples[None, :])
-    return filtered, _require_survival(sum_abs2(filtered) * jsa.measure)
-
-
-def filter_survival(jsa: JointSpectralAmplitude, spec: FilterSpec) -> float:
-    """Fraction of a normalized JSA's L2 norm that the filter passes on both arms.
-
-    This is the heralding-efficiency proxy; below MIN_SURVIVAL the filter
-    annihilates the spectrum and a DegenerateInputError is raised.
-    """
-    return _filtered(jsa, sample_filter(spec, jsa.grid))[1]
-
-
 def filtered_ring_block(
     pump1: PumpLine, pump2: PumpLine, ring: RingSource, grid: FrequencyGrid,
     samples: np.ndarray, lo: int, hi: int,
 ):
     """(values, survival) of the ring's filtered JSA from one (h, l) on ``grid``.
 
-    ``samples``, the filter on ``grid``, is zero outside points lo..hi; the
-    values there, not normalized, are (l f)(s) * (l f)(i) * h[s + i]. As
-    |F[s, i]|^2 = |h[s + i]|^2 * q[s] * q[i] with q = |l|^2, the whole grid's
-    norm is sum_m |h_m|^2 * (q * q)_m, a 1-D convolution on the 2N-1 sums,
-    and the filtered norm takes q * f^2 for q. Raises as ``build_ring_jsa``
-    and ``filter_survival`` would.
+    F(ws, wi) = h(ws + wi) * l(ws) * l(wi): the pump convolution h, weighted
+    by the two pump-resonance Lorentzians, depends only on the sum frequency,
+    and signal and idler pick up the degenerate-resonance Lorentzian l (Helt
+    et al., Opt. Lett. 35, 3006 (2010)). ``samples``, the filter on ``grid``,
+    is zero outside points lo..hi; the values there, not normalized, are
+    (l f)(s) * (l f)(i) * h[s + i]. As |F[s, i]|^2 = |h[s + i]|^2 * q[s] * q[i]
+    with q = |l|^2, the whole grid's norm is sum_m |h_m|^2 * (q * q)_m, a 1-D
+    convolution on the 2N-1 sums, and the filtered norm takes q * f^2 for q.
     """
     h, lor = _ring_factors(pump1, pump2, ring, grid)
     weight = np.abs(h) ** 2
@@ -457,12 +422,3 @@ def filtered_waveguide_block(
     values *= samples[:, None] * samples[None, :]
     survival = _require_survival(sum_abs2(values) / total)
     return np.ascontiguousarray(values[lo : hi + 1, lo : hi + 1]), survival  # copies only a sub-block
-
-
-def apply_filter(jsa: JointSpectralAmplitude, spec: FilterSpec) -> JointSpectralAmplitude:
-    """Apply one amplitude filter to both signal and idler and re-normalize.
-
-    Raises like ``filter_survival``. Filtering both axes by the same
-    profile keeps a symmetric JSA symmetric.
-    """
-    return _normalize(jsa.grid, _filtered(jsa, sample_filter(spec, jsa.grid))[0], "filtering")

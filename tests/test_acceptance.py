@@ -21,11 +21,7 @@ from biphoton.fringes import (
 )
 from biphoton.scenario import load_bundled
 from biphoton.schmidt import overlap_from_visibility, purity, visibility_from_overlap
-from biphoton.sources import (
-    JointSpectralAmplitude,
-    build_ring_jsa,
-    build_waveguide_jsa,
-)
+from biphoton.sources import JointSpectralAmplitude
 from biphoton.spectral import make_grid
 from biphoton.squeezing import (
     SqueezingSpec,
@@ -34,6 +30,7 @@ from biphoton.squeezing import (
     trigger_probability,
 )
 
+import whole_grid
 from oracles import (
     marginal_fwhm,
     naive_ring_jsa,
@@ -121,16 +118,16 @@ def test_acceptance_4_waveguide_purity_ordering():
 
 def test_acceptance_5_oracle_equivalence(oracle_quadrature):
     t0 = time.perf_counter()
-    # (a) builders vs naive scalar quadrature on small grids
+    # (a) the whole-grid kernels vs naive scalar quadrature on small grids
     wg = load_bundled("sipic1_waveguide_15mm")
     # (errors relative to the largest entry: unit-L2 entries are all tiny)
     grid = make_grid(1550.12e-9, 4e-9, 17)
-    fast = build_waveguide_jsa(wg.pumps[0], wg.pumps[1], wg.source, grid)
+    fast, _ = whole_grid.jsa(wg.pumps[0], wg.pumps[1], wg.source, grid)
     slow = naive_waveguide_jsa(wg.pumps[0], wg.pumps[1], wg.source, grid, **oracle_quadrature)
     err_wg = float(np.max(np.abs(fast.values - slow)) / np.max(np.abs(slow)))
     rg = load_bundled("sipic1_ring")
     grid_r = make_grid(1550.12e-9, 0.8e-9, 21)
-    fast_r = build_ring_jsa(rg.pumps[0], rg.pumps[1], rg.source, grid_r)
+    fast_r, _ = whole_grid.jsa(rg.pumps[0], rg.pumps[1], rg.source, grid_r)
     slow_r = naive_ring_jsa(rg.pumps[0], rg.pumps[1], rg.source, grid_r, **oracle_quadrature)
     err_ring = float(np.max(np.abs(fast_r.values - slow_r)) / np.max(np.abs(slow_r)))
 

@@ -11,18 +11,10 @@ from biphoton.cli import main
 from biphoton.errors import ConfigError, DegenerateInputError
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, load_scenario
 from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
-from biphoton.sources import (
-    MIN_SURVIVAL,
-    JointSpectralAmplitude,
-    RingSource,
-    apply_filter,
-    build_ring_jsa,
-    build_waveguide_jsa,
-    filter_survival,
-    norm2_bound,
-    sum_abs2,
-)
+from biphoton.sources import MIN_SURVIVAL, JointSpectralAmplitude, RingSource, norm2_bound, sum_abs2
 from biphoton.spectral import FilterSpec, omega_to_wavelength, sample_filter
+
+import whole_grid
 
 WAVEGUIDE = "sipic1_waveguide_15mm"
 RING = "sipic1_ring"
@@ -34,28 +26,8 @@ TAIL_FILTER = {"center_nm": 1547.5, "bandwidth_nm": 1.5}
 FALLBACK_FILTER = {"center_nm": 1548.75, "bandwidth_nm": 1.5}
 
 
-def whole_grid(scenario, n_points):
-    """The reference: the JSA built on the whole grid, then filtered."""
-    return apply_filter(unfiltered_jsa(scenario, n_points), scenario.filter_spec)
-
-
 def with_filter(scenario, spec):
     return dataclasses.replace(scenario, filter_spec=spec)
-
-
-def unfiltered_jsa(scenario, n_points=None):
-    """The scenario's JSA without its filter, on the whole grid."""
-    return pipeline.build_jsa(with_filter(scenario.with_points(n_points), None))
-
-
-def raw_whole_grid(scenario, n_points=None):
-    """(JSA, survival) of a waveguide built on the whole grid, not normalized, then
-    filtered; the survival is the filtered over the unfiltered sum of |F|^2."""
-    grid = scenario.grid(n_points)
-    raw = sources._waveguide_values(*scenario.pumps, scenario.source, grid)
-    samples = sample_filter(scenario.filter_spec, grid)
-    filtered = raw * (samples[:, None] * samples[None, :])
-    return JointSpectralAmplitude(grid, filtered), sum_abs2(filtered) / sum_abs2(raw)
 
 
 def passband(scenario, n_points):
@@ -84,8 +56,7 @@ def on_passband(scenario, n_points, jsa):
 def assert_matches_whole_grid(scenario, n_points):
     """The windowed JSA, and a ring's survival from its factors, against the whole-grid build."""
     windowed = pipeline.build_jsa(scenario.with_points(n_points))
-    unfiltered = unfiltered_jsa(scenario, n_points)
-    reference = apply_filter(unfiltered, scenario.filter_spec)
+    reference, expected_survival = whole_grid.of_scenario(scenario, n_points)
     assert windowed.grid == passband(scenario, n_points)[2]
     expected = schmidt_decompose(reference).purity
     assert schmidt_decompose(windowed).purity == pytest.approx(expected, rel=1e-11, abs=0.0)
@@ -96,8 +67,7 @@ def assert_matches_whole_grid(scenario, n_points):
         block = on_passband(scenario, n_points, reference).values
         assert np.max(np.abs(windowed.values - block)) <= 1e-13 * np.max(np.abs(block))
         survival = pipeline.purity_report(scenario.with_points(n_points))["survival"]
-        expected = filter_survival(unfiltered, scenario.filter_spec)
-        assert survival == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert survival == pytest.approx(expected_survival, rel=1e-12, abs=0.0)
     return windowed
 
 
@@ -174,7 +144,7 @@ def test_one_point_passband_at_grid_end(index, window):
     samples = sample_filter(scenario.filter_spec, scenario.grid(201))
     assert pipeline._passband_window(samples) == window
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
-        whole_grid(scenario, 201)
+        whole_grid.of_scenario(scenario, 201)
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
         pipeline.build_jsa(scenario.with_points(201))
     with pytest.raises(DegenerateInputError, match="filter annihilates"):
@@ -220,18 +190,19 @@ def test_tail_filter_exits_three_on_every_verb(tmp_path, capsys, verb):
 
 def test_uncertified_window_falls_back_to_whole_grid(tmp_path, monkeypatch, capsys):
     scenario = load_scenario(scenario_file(tmp_path, WAVEGUIDE, FALLBACK_FILTER))
-    survival = filter_survival(unfiltered_jsa(scenario), scenario.filter_spec)
+    reference, survival = whole_grid.of_scenario(scenario)
     assert 1e-12 <= survival <= 1e-6
     sizes = waveguide_builds(monkeypatch)
     windowed = pipeline.build_jsa(scenario)
     assert sizes[-1] == 201 and len(sizes) == 2  # the window, then the whole grid
     monkeypatch.undo()
     # bit for bit: the raw whole grid, filtered, cut to the passband and normalized there
-    cut = on_passband(scenario, None, raw_whole_grid(scenario)[0])
+    grid, samples = scenario.axis, sample_filter(scenario.filter_spec, scenario.axis)
+    raw = whole_grid.raw(*scenario.pumps, scenario.source, grid) * (samples[:, None] * samples[None, :])
+    cut = on_passband(scenario, None, JointSpectralAmplitude(grid, raw))
     assert windowed.grid == cut.grid
     assert np.array_equal(windowed.values, cut.values)
-    # and the normalized whole grid, filtered, renormalized and cut, to rounding
-    reference = whole_grid(scenario, None)
+    # and the whole grid, filtered, normalized, cut and renormalized, to rounding
     old = on_passband(scenario, None, reference).values
     assert np.max(np.abs(windowed.values - old)) <= 1e-12 * np.max(np.abs(old))
     purity = schmidt_decompose(windowed).purity
@@ -252,9 +223,8 @@ def test_source_pair_on_different_paths_shares_the_passband_grid(tmp_path, monke
     assert sizes == [(long, 52), (long, 201), (short, 52)]
     assert jsa1.grid == jsa2.grid == passband(scenario, None)[2]
     overlap = pipeline.scenario_overlap(scenario)
-    spec = scenario.filter_spec
     whole1, whole2 = (
-        apply_filter(unfiltered_jsa(dataclasses.replace(scenario, source=source)), spec)
+        whole_grid.of_scenario(dataclasses.replace(scenario, source=source))[0]
         for source in (scenario.source, scenario.source2)
     )
     expected = jsa_overlap(whole1, whole2).magnitude
@@ -266,10 +236,9 @@ def test_purity_survival_is_the_whole_grid_survival():
     for name in (WAVEGUIDE, RING):
         scenario = load_bundled(name)
         report = pipeline.purity_report(scenario.with_points(201))
-        unfiltered = unfiltered_jsa(scenario, 201)
-        expected = filter_survival(unfiltered, scenario.filter_spec)
+        expected = whole_grid.of_scenario(scenario, 201)[1]
         if name == WAVEGUIDE:  # the raw whole grid's filtered over unfiltered sum
-            assert report["survival"] == raw_whole_grid(scenario, 201)[1]
+            assert report["survival"] == expected
         # a ring's from its factors: the same sums, taken in another order
         assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
         assert report["purity"] == pipeline.schmidt_spectrum(scenario.with_points(201)).purity
@@ -281,9 +250,7 @@ def test_fallback_purity_builds_the_whole_grid_once(tmp_path, monkeypatch):
     report = pipeline.purity_report(scenario)
     monkeypatch.undo()
     assert sizes == [52, 201]  # the window, then the whole grid, which gives the survival too
-    assert report["survival"] == raw_whole_grid(scenario)[1]
-    expected = filter_survival(unfiltered_jsa(scenario), scenario.filter_spec)
-    assert report["survival"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert report["survival"] == whole_grid.of_scenario(scenario)[1]
     assert report["purity"] == pipeline.schmidt_spectrum(scenario).purity
 
 
@@ -304,8 +271,7 @@ def test_no_filter_is_the_all_pass_filter(name):
     scenario = with_filter(load_bundled(name), None).with_points(201)
     grid = scenario.axis
     assert grid.sub_grid(0, grid.n_points - 1) == grid
-    build = build_ring_jsa if isinstance(scenario.source, RingSource) else build_waveguide_jsa
-    expected = build(*scenario.pumps, scenario.source, grid)
+    expected = whole_grid.of_scenario(scenario)[0]
     jsa = pipeline.build_jsa(scenario)
     assert jsa.grid == expected.grid
     assert np.array_equal(jsa.values, expected.values)
@@ -363,25 +329,21 @@ def embedded_then_filtered(scenario, n_points):
     unfiltered norm's bound clears MIN_SURVIVAL, else the whole grid decides;
     a ring's JSA is built and filtered on the whole grid."""
     grid = scenario.grid(n_points)
-    spec = scenario.filter_spec
     lo, hi, window = passband(scenario, n_points)
     ring = isinstance(scenario.source, RingSource)
     if not ring:
+        values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+        values[lo : hi + 1, lo : hi + 1] = sources._waveguide_values(*scenario.pumps, scenario.source, window)
+        norm2 = sum_abs2(values) * window.step * window.step
+        bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
         try:
-            raw = sources._waveguide_values(*scenario.pumps, scenario.source, window)
-            norm2 = sum_abs2(raw) * window.step * window.step
-            part = sources._normalize(window, raw, "waveguide builder")
-            values = np.zeros((grid.n_points, grid.n_points), dtype=complex)
-            values[lo : hi + 1, lo : hi + 1] = part.values
-            embedded = JointSpectralAmplitude(grid, values)
-            bound = norm2_bound(scenario.pumps[0], scenario.pumps[1], grid)
-            if filter_survival(embedded, spec) < MIN_SURVIVAL * bound / norm2:
-                raise DegenerateInputError("the window cannot certify the survival")
-            return "window", apply_filter(embedded, spec)
+            embedded, survival = whole_grid.filtered(grid, values, scenario.filter_spec)
+            if survival * norm2 >= MIN_SURVIVAL * bound:
+                return "window", embedded
         except DegenerateInputError:
             pass
     try:
-        return "factors" if ring else "whole grid", whole_grid(scenario, n_points)
+        return "factors" if ring else "whole grid", whole_grid.of_scenario(scenario, n_points)[0]
     except DegenerateInputError:
         return "exit 3", None
 
@@ -511,5 +473,5 @@ def test_purities_agree_on_whole_grid_fallback(tmp_path):
 def test_stats_mode_count_matches_embedded_spectrum(name):
     # the reference decomposes the whole grid's filtered JSA, not the block stats_report reads
     scenario = load_bundled(name)
-    reference = schmidt_decompose(on_passband(scenario, None, whole_grid(scenario, None)))
+    reference = schmidt_decompose(on_passband(scenario, None, whole_grid.of_scenario(scenario)[0]))
     assert pipeline.stats_report(scenario)["n_modes"] == reference.significant().size

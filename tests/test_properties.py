@@ -4,18 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from biphoton import sources
+from biphoton import pipeline, sources
 from biphoton.dispersion import DispersionModel
 from biphoton.errors import ConfigError
 from biphoton.scenario import Scenario, scenario_from_dict
 from biphoton.schmidt import jsa_overlap, purity, schmidt_decompose
-from biphoton.sources import (
-    RingSource,
-    WaveguideSource,
-    apply_filter,
-    build_ring_jsa,
-    build_waveguide_jsa,
-)
+from biphoton.sources import RingSource, WaveguideSource
 from biphoton.spectral import (
     FilterSpec,
     PumpLine,
@@ -57,20 +51,25 @@ rings = st.builds(
 )
 
 
-def build_waveguide(pump_pair, source, n_points):
+def package_jsa(pump_pair, source, grid, spec):
+    """``pipeline.build_jsa`` of one source: the whole ``grid``, or the passband of ``spec``."""
+    return pipeline.build_jsa(Scenario("property", pump_pair, source, grid, filter_spec=spec))
+
+
+def build_waveguide(pump_pair, source, n_points, spec=None):
     # 3 nm over >= 30 points resolves a 40 GHz pump by > 2 grid steps
-    return build_waveguide_jsa(*pump_pair, source, make_grid(CENTER, 3e-9, n_points))
+    return package_jsa(pump_pair, source, make_grid(CENTER, 3e-9, n_points), spec)
 
 
-def build_ring(pump_pair, source, n_points):
+def build_ring(pump_pair, source, n_points, spec=None):
     # 1.2 nm over >= 41 points resolves a Q = 2e4 resonance by > 2 grid steps
-    return build_ring_jsa(*pump_pair, source, make_grid(CENTER, 1.2e-9, n_points))
+    return package_jsa(pump_pair, source, make_grid(CENTER, 1.2e-9, n_points), spec)
 
 
 def check_properties(build, pump_pair, source, n_points):
     for n in (n_points, n_points + 1):  # one odd and one even grid
         out = build(pump_pair, source, n)
-        for jsa in (out, apply_filter(out, BAND)):
+        for jsa in (out, build(pump_pair, source, n, BAND)):
             assert np.array_equal(jsa.values, jsa.values.T)
         assert out.norm_squared() == pytest.approx(1.0, abs=1e-12)
         p = purity(out)
@@ -93,21 +92,22 @@ def test_ring_builder_properties(pump_pair, source, n_points):
     check_properties(build_ring, pump_pair, source, n_points)
 
 
-def check_purity_without_svd(out):
-    for jsa in (out, apply_filter(out, BAND)):
+def check_purity_without_svd(build, pump_pair, source, n_points):
+    for spec in (None, BAND):
+        jsa = build(pump_pair, source, n_points, spec)
         assert purity(jsa) == pytest.approx(schmidt_decompose(jsa).purity, rel=1e-12, abs=0.0)
 
 
 @PROPERTY_SETTINGS
 @given(pump_pair=pump_pairs, source=waveguides, n_points=st.integers(30, 64))
 def test_waveguide_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
-    check_purity_without_svd(build_waveguide(pump_pair, source, n_points))
+    check_purity_without_svd(build_waveguide, pump_pair, source, n_points)
 
 
 @PROPERTY_SETTINGS
 @given(pump_pair=pump_pairs, source=rings, n_points=st.integers(41, 80))
 def test_ring_purity_matches_schmidt_spectrum(pump_pair, source, n_points):
-    check_purity_without_svd(build_ring(pump_pair, source, n_points))
+    check_purity_without_svd(build_ring, pump_pair, source, n_points)
 
 
 shapes = st.sampled_from(["gaussian", "lorentzian"])

@@ -14,15 +14,7 @@ from biphoton.errors import (
     RingDetuningWarning,
     UnderResolvedError,
 )
-from biphoton.sources import (
-    JointSpectralAmplitude,
-    RingSource,
-    WaveguideSource,
-    apply_filter,
-    build_ring_jsa,
-    build_waveguide_jsa,
-    filter_survival,
-)
+from biphoton.sources import JointSpectralAmplitude, RingSource, WaveguideSource
 from biphoton.scenario import BUNDLED_SCENARIOS, load_bundled, scenario_from_dict
 from biphoton.spectral import (
     FilterSpec,
@@ -34,6 +26,7 @@ from biphoton.spectral import (
     wavelength_to_omega,
 )
 
+import whole_grid
 from oracles import naive_ring_jsa, naive_waveguide_jsa
 
 W0 = float(wavelength_to_omega(1550.12e-9))
@@ -58,15 +51,21 @@ def ring():
     return RingSource(q_factor=1.5e4, fsr=3.025e-9, center_wavelength=1550.12e-9)
 
 
+def whole_band(pump1, pump2, source, grid, samples=None):
+    """(values, survival) of the package's filtered block on every point of ``grid``; all-pass by default."""
+    samples = np.ones(grid.n_points) if samples is None else samples
+    return pipeline._builders(source)(pump1, pump2, source, grid, samples, 0, grid.n_points - 1)
+
+
 def test_waveguide_jsa_is_unit_normalized():
     p1, p2 = pumps()
-    out = build_waveguide_jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 6e-9, 61))
+    out, _ = whole_grid.jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 6e-9, 61))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_ring_jsa_is_unit_normalized():
     p1, p2 = pumps()
-    out = build_ring_jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 61))
+    out, _ = whole_grid.jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 61))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -88,7 +87,7 @@ def lorentzian_pumps():
 def test_waveguide_matches_naive_quadrature(oracle_quadrature):
     p1, p2 = pumps()
     grid = make_grid(1550.12e-9, 4e-9, 17)
-    fast = build_waveguide_jsa(p1, p2, waveguide(), grid)
+    fast, _ = whole_grid.jsa(p1, p2, waveguide(), grid)
     slow = naive_waveguide_jsa(p1, p2, waveguide(), grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL
 
@@ -96,7 +95,7 @@ def test_waveguide_matches_naive_quadrature(oracle_quadrature):
 def test_ring_matches_naive_quadrature(oracle_quadrature):
     p1, p2 = pumps()
     grid = make_grid(1550.12e-9, 0.8e-9, 21)
-    fast = build_ring_jsa(p1, p2, ring(), grid)
+    fast, _ = whole_grid.jsa(p1, p2, ring(), grid)
     slow = naive_ring_jsa(p1, p2, ring(), grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL
 
@@ -114,7 +113,7 @@ def test_ring_matches_naive_quadrature(oracle_quadrature):
 )
 def test_waveguide_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points):
     grid = make_grid(1550.12e-9, 4e-9, n_points)
-    fast = build_waveguide_jsa(*pump_pair, source, grid)
+    fast, _ = whole_grid.jsa(*pump_pair, source, grid)
     slow = naive_waveguide_jsa(*pump_pair, source, grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= WAVEGUIDE_ORACLE_TOL, case
 
@@ -146,11 +145,11 @@ def test_waveguide_node_blocks_agree(monkeypatch, case, pump_pair, source):
     grid = make_grid(1550.12e-9, 4e-9, 31)
     if case == "series_branch":
         assert 0.0 < series_fraction(pump_pair[0], source, grid) < 0.1
-    default = build_waveguide_jsa(*pump_pair, source, grid).values
+    default = sources._waveguide_values(*pump_pair, source, grid)
     scale = np.max(np.abs(default))
     for entries in (1, 1 << 40):  # one node per block, all nodes in one block
         monkeypatch.setattr(sources, "_BLOCK_ENTRIES", entries)
-        values = build_waveguide_jsa(*pump_pair, source, grid).values
+        values = sources._waveguide_values(*pump_pair, source, grid)
         assert np.max(np.abs(values - default)) <= 1e-13 * scale, (case, entries)
         assert np.array_equal(values, values.T)
 
@@ -166,7 +165,7 @@ def test_waveguide_node_blocks_agree(monkeypatch, case, pump_pair, source):
 )
 def test_ring_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points):
     grid = make_grid(1550.12e-9, 0.8e-9, n_points)
-    fast = build_ring_jsa(*pump_pair, source, grid)
+    fast, _ = whole_grid.jsa(*pump_pair, source, grid)
     slow = naive_ring_jsa(*pump_pair, source, grid, **oracle_quadrature)
     assert oracle_error(fast, slow) <= RING_ORACLE_TOL, case
 
@@ -176,7 +175,7 @@ def test_ring_oracle_cases(oracle_quadrature, case, pump_pair, source, n_points)
 def test_ring_jsa_is_the_mirrored_triangle_of_its_factors(name, n_points):
     sc = load_bundled(name)
     grid = sc.grid(n_points)
-    values = build_ring_jsa(*sc.pumps, sc.source, grid).values
+    values = whole_grid.jsa(*sc.pumps, sc.source, grid)[0].values
     assert np.array_equal(values, values.T)
     # h[s + i] * l[s] * l[i] on s <= i, mirrored, from the same factors
     h, lor = sources._ring_factors(*sc.pumps, sc.source, grid)
@@ -197,7 +196,7 @@ def test_dispersionless_waveguide_is_the_closed_form_pump_convolution(name):
     p1, p2 = sc.pumps
     assert p1.linewidth_fwhm == p2.linewidth_fwhm
     grid = sc.grid(201)
-    values = build_waveguide_jsa(p1, p2, sc.source, grid).values
+    values = whole_grid.jsa(p1, p2, sc.source, grid)[0].values
     sigma = p1.linewidth_fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     w = grid.points()
     half_sum = (w[:, None] + w[None, :]) / 2.0
@@ -220,24 +219,22 @@ SERIES_GUIDE = WaveguideSource(1e-6, DispersionModel(W0, beta2=-2e-24))
 
 
 @pytest.mark.parametrize(
-    "case, build, naive, tol, source, span, n_points",
+    "case, naive, tol, source, span, n_points",
     [
-        ("beta3", build_waveguide_jsa, naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, BETA3_GUIDE, 4e-9, 16),
-        ("series_branch", build_waveguide_jsa, naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, SERIES_GUIDE, 4e-9, 16),
-        ("ring", build_ring_jsa, naive_ring_jsa, RING_ORACLE_TOL, ring(), 0.8e-9, 21),
+        ("beta3", naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, BETA3_GUIDE, 4e-9, 16),
+        ("series_branch", naive_waveguide_jsa, WAVEGUIDE_ORACLE_TOL, SERIES_GUIDE, 4e-9, 16),
+        ("ring", naive_ring_jsa, RING_ORACLE_TOL, ring(), 0.8e-9, 21),
     ],
 )
-def test_node_trim_matches_every_node_at_default_quadrature(
-    monkeypatch, case, build, naive, tol, source, span, n_points
-):
+def test_node_trim_matches_every_node_at_default_quadrature(monkeypatch, case, naive, tol, source, span, n_points):
     # 16 nodes per FWHM over +-8 FWHM: 257 nodes, of which these Gaussian pumps keep 106-125
     grid = make_grid(1550.12e-9, span, n_points)
-    fast = build(*pumps(), source, grid)
+    fast, _ = whole_grid.jsa(*pumps(), source, grid)
     assert sources._pump_product(*pumps(), grid)[0].size <= 125, case
     assert oracle_error(fast, naive(*pumps(), source, grid)) <= tol, case
     # the same kernel on all 257 nodes: the dropped ones are below the rounding
     monkeypatch.setattr(sources, "_pump_product", all_node_product)
-    every = build(*pumps(), source, grid).values
+    every = whole_grid.jsa(*pumps(), source, grid)[0].values
     assert np.max(np.abs(fast.values - every)) <= 1e-13 * np.max(np.abs(every)), case
 
 
@@ -249,10 +246,7 @@ def test_norm2_bound_follows_the_quadrature(monkeypatch, points_per_fwhm, halfwi
     monkeypatch.setattr(sources, "HALFWIDTH_FWHMS", halfwidth_fwhms)
     sc = load_bundled(name)
     grid = sc.grid(201)
-    if isinstance(sc.source, RingSource):
-        raw = sources._ring_values(*sources._ring_factors(*sc.pumps, sc.source, grid))
-    else:
-        raw = sources._waveguide_values(*sc.pumps, sc.source, grid)
+    raw = whole_grid.raw(*sc.pumps, sc.source, grid)
     assert sources.sum_abs2(raw) * grid.step * grid.step <= sources.norm2_bound(*sc.pumps, grid)
 
 
@@ -278,13 +272,13 @@ def test_bundled_passbands_keep_106_to_107_nodes(name):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("which", [0, 1])
 def test_nan_pump_center_is_degenerate(which):
-    # a NaN bound keeps every node, so the builders' non-finite check still fires
+    # a NaN bound keeps every node, so the blocks' non-finite check still fires
     lines = list(pumps())
     lines[which] = replace(lines[which], center_wavelength=float("nan"))
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        build_waveguide_jsa(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 41))
+        whole_band(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 41))
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        build_ring_jsa(*lines, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
+        whole_band(*lines, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 @pytest.mark.parametrize("size", [1, 54 * 54, 401 * 401])
@@ -323,7 +317,7 @@ def test_ring_detuning_warning():
         q_factor=1.5e4, fsr=3.025e-9, center_wavelength=1550.12e-9, detuning_p1=2e-9
     )
     with pytest.warns(RingDetuningWarning):
-        build_ring_jsa(p1, p2, detuned, make_grid(1550.12e-9, 1.2e-9, 41))
+        whole_band(p1, p2, detuned, make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 def test_ring_resonance_narrower_than_two_grid_steps_is_rejected():
@@ -331,7 +325,7 @@ def test_ring_resonance_narrower_than_two_grid_steps_is_rejected():
     p1, p2 = pumps()
     high_q = replace(ring(), q_factor=1e7)
     with pytest.raises(UnderResolvedError, match="signal resonance"):
-        build_ring_jsa(p1, p2, high_q, make_grid(1550.12e-9, 1.2e-9, 401))
+        whole_band(p1, p2, high_q, make_grid(1550.12e-9, 1.2e-9, 401))
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -340,25 +334,23 @@ def test_pump_narrower_than_two_grid_steps_is_rejected(which):
     lines[which] = replace(lines[which], linewidth_fwhm=0.001 * GHZ)
     grid = make_grid(1550.12e-9, 1.2e-9, 401)
     with pytest.raises(UnderResolvedError, match=f"pump{which + 1}"):
-        build_ring_jsa(*lines, ring(), grid)
+        whole_band(*lines, ring(), grid)
     with pytest.raises(UnderResolvedError, match=f"pump{which + 1}"):
-        build_waveguide_jsa(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 401))
+        whole_band(*lines, waveguide(), make_grid(1550.12e-9, 6e-9, 401))
 
 
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_resolution_guard_accepts_bundled_scenarios(name):
     # 201 points is the coarsest grid the tests and the benchmark use; finer grids pass a fortiori
-    sc = load_bundled(name)
-    grid = sc.grid(201)
-    builder = build_ring_jsa if isinstance(sc.source, RingSource) else build_waveguide_jsa
-    out = builder(sc.pumps[0], sc.pumps[1], sc.source, grid)
+    sc = replace(load_bundled(name), filter_spec=None)
+    out = pipeline.build_jsa(sc.with_points(201))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
 def test_resolution_guard_accepts_q_4e4_ring_at_201_points():
     sc = load_bundled("sipic1_ring")
-    source = replace(sc.source, q_factor=4e4)
-    out = build_ring_jsa(sc.pumps[0], sc.pumps[1], source, sc.grid(201))
+    sc = replace(sc, source=replace(sc.source, q_factor=4e4), filter_spec=None)
+    out = pipeline.build_jsa(sc.with_points(201))
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
@@ -367,11 +359,11 @@ def test_builder_non_finite_output_is_degenerate(monkeypatch):
     p1, p2 = pumps()
     nan_dispersion = WaveguideSource(0.015, DispersionModel(W0, beta2=float("nan")))
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        build_waveguide_jsa(p1, p2, nan_dispersion, make_grid(1550.12e-9, 6e-9, 41))
+        whole_band(p1, p2, nan_dispersion, make_grid(1550.12e-9, 6e-9, 41))
     # an infinite pump amplitude: no valid input yields one, so the profile is patched
     monkeypatch.setattr(sources, "pump_amplitude", lambda line, omega: pump_amplitude(line, omega) * np.inf)
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        build_ring_jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
+        whole_band(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
 
 
 def test_builder_degenerate_when_pumps_cannot_conserve_energy():
@@ -379,44 +371,23 @@ def test_builder_degenerate_when_pumps_cannot_conserve_energy():
     p1 = PumpLine(1544.08e-9, 80 * GHZ)
     p2 = PumpLine(1300e-9, 80 * GHZ)
     with pytest.raises(DegenerateInputError):
-        build_waveguide_jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 2e-9, 21))
+        whole_band(p1, p2, waveguide(), make_grid(1550.12e-9, 2e-9, 21))
 
 
 def test_jsi_nonnegative():
     p1, p2 = pumps()
-    out = build_ring_jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
-    intensity = np.abs(out.values) ** 2
+    values, _ = whole_band(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
+    intensity = np.abs(values) ** 2
     assert np.all(intensity >= 0.0)
     assert intensity.shape == (41, 41)
 
 
-def test_apply_filter_renormalizes_and_records_survival():
-    p1, p2 = pumps()
-    out = build_waveguide_jsa(p1, p2, waveguide(), make_grid(1550.12e-9, 6e-9, 101))
-    spec = FilterSpec(1550.12e-9, 0.8e-9)
-    filtered = apply_filter(out, spec)
-    assert filtered.norm_squared() == pytest.approx(1.0, abs=1e-10)
-    assert 0.0 < filter_survival(out, spec) < 1.0
-    # energy outside the band is removed
-    lam = filtered.grid.wavelengths()
-    # pad by one wavelength step for the snap-to-grid edge placement
-    outside = np.abs(lam - 1550.12e-9) > 0.4e-9 + 6e-9 / 100
-    assert np.all(filtered.values[outside, :] == 0.0)
-
-
-def test_apply_filter_requires_normalized_input():
-    grid = make_grid(1550.12e-9, 1e-9, 11)
-    raw = JointSpectralAmplitude(grid, np.ones((11, 11), dtype=complex))
-    with pytest.raises(InvalidArgumentError):
-        apply_filter(raw, FilterSpec(1550.12e-9, 0.5e-9))
-
-
 def test_apply_filter_annihilation_raises():
-    p1, p2 = pumps()
-    out = build_ring_jsa(p1, p2, ring(), make_grid(1550.12e-9, 1.2e-9, 41))
-    off_band = FilterSpec(1549e-9, 0.01e-9)
+    # a filter that passes no point of the grid
+    grid = make_grid(1550.12e-9, 1.2e-9, 41)
+    off_band = sample_filter(FilterSpec(1549e-9, 0.01e-9), grid)
     with pytest.raises(DegenerateInputError):
-        apply_filter(out, off_band)
+        whole_band(*pumps(), ring(), grid, off_band)
 
 
 def test_jsa_shape_mismatch_rejected():
