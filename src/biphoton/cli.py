@@ -61,12 +61,15 @@ def cmd_jsi(scenario: Scenario, out_path: str, n_points: int = None) -> str:
     return out_path
 
 
-def _csv_rows(values: np.ndarray) -> list:
-    """The rows of a float64 matrix as ``fmt`` CSV lines, formatting each distinct value once."""
+def _csv_rows(values: np.ndarray):
+    """The rows of a float64 matrix as ``fmt`` CSV lines, each joined as it is taken.
+
+    Each distinct value is formatted once."""
     # distinct bit patterns, not values: -0.0 and 0.0 print differently
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = np.array([fmt(v) for v in bits.view(np.float64)], dtype=object)
-    return [",".join(row) for row in text[inverse.reshape(values.shape)]]
+    for row in inverse.reshape(values.shape):
+        yield ",".join(text[row])
 
 
 def read_jsi(path: str) -> np.ndarray:

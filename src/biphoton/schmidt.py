@@ -56,11 +56,13 @@ def schmidt_decompose(jsa: JointSpectralAmplitude) -> SchmidtSpectrum:
 
     r are the squared singular values of F * step, sorted nonincreasing,
     one per grid point. A filtered JSA comes on its passband
-    (``pipeline.build_jsa``), so the SVD runs on that block as built.
+    (``pipeline.build_jsa``), and the SVD runs on that block as built:
+    the singular values of F are taken and the measure step² goes onto
+    their squares, so no scaled copy of the block is made.
     """
     _require_normalized(jsa)
-    s = np.linalg.svd(jsa.values * np.sqrt(jsa.measure), compute_uv=False)
-    return SchmidtSpectrum(coefficients=s**2)
+    s = np.linalg.svd(jsa.values, compute_uv=False)
+    return SchmidtSpectrum(coefficients=s**2 * jsa.measure)
 
 
 def purity(jsa: JointSpectralAmplitude) -> float:

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from biphoton import schmidt
+from biphoton import pipeline, schmidt
 from biphoton.errors import GridMismatchError, InvalidArgumentError
+from biphoton.scenario import load_bundled
 from biphoton.schmidt import (
     jsa_overlap,
     overlap_from_visibility,
@@ -219,3 +221,17 @@ def test_schmidt_tail_of_a_real_spectrum_matches_fsum():
     dropped = c[c < schmidt.TAIL_REL_TOL * c[0]]
     assert dropped.size > 0
     assert schmidt_decompose(values).tail == pytest.approx(math.fsum(dropped), rel=1e-12, abs=0.0)
+
+
+def test_schmidt_decompose_copies_nothing_the_size_of_the_block():
+    # the 535-point passband of an 801-point ring, 4.6 MB of complex values; the SVD's own
+    # work copy is LAPACK's and not traced, so a scaled copy of the block would show here
+    jsa = pipeline.build_jsa(load_bundled("sipic2_ring").with_points(801))
+    tracemalloc.start()
+    try:
+        schmidt_decompose(jsa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert jsa.values.shape == (535, 535)
+    assert peak < jsa.values.nbytes / 4

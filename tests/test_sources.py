@@ -121,14 +121,35 @@ def test_waveguide_oracle_cases(oracle_quadrature, case, pump_pair, source, n_po
 SHORT_GUIDE = WaveguideSource(0.24e-3, DispersionModel(W0, beta2=-2e-24))
 
 
-def series_fraction(pump1, source, grid):
-    """Fraction of (node, ws, wi) kernel entries with |x| below the series cutoff."""
+def kernel_abs_x(pump1, source, grid):
+    """|x| = L|dk|/2 of every (node, ws, wi) kernel entry."""
     nodes, _ = sources._pump_quadrature(pump1)
     w = grid.points()
     k = lambda omega: k_of_omega(source.dispersion, omega)  # noqa: E731
     sums = w[:, None] + w[None, :]
     x = (k(w)[:, None] + k(w)[None, :]) - (k(nodes)[:, None, None] + k(sums - nodes[:, None, None]))
-    return float(np.mean(np.abs(source.length / 2.0 * x) < sources.SINC_SERIES_CUTOFF))
+    return np.abs(source.length / 2.0 * x)
+
+
+def series_fraction(pump1, source, grid):
+    """Fraction of (node, ws, wi) kernel entries with |x| below the series cutoff."""
+    return float(np.mean(kernel_abs_x(pump1, source, grid) < sources.SINC_SERIES_CUTOFF))
+
+
+def test_waveguide_series_matches_the_oracle_to_its_x2_term(monkeypatch):
+    # 5 nodes on +-1 FWHM and a 3 um guide: every |x| lies in [3e-5, 1e-4), so every entry takes
+    # the series 1 + ix - 2x^2/3, whose x^2 term is 6e-10 to 7e-9 of it; the x^3 term it drops
+    # is below 4e-13
+    monkeypatch.setattr(sources, "POINTS_PER_FWHM", 2)
+    monkeypatch.setattr(sources, "HALFWIDTH_FWHMS", 1.0)
+    guide = WaveguideSource(3e-6, DispersionModel(W0, beta2=-2e-24))
+    grid = make_grid(1550.12e-9, 1e-9, 7)
+    abs_x = kernel_abs_x(pumps()[0], guide, grid)
+    assert abs_x.shape[0] == 5
+    assert 3e-5 <= abs_x.min() and abs_x.max() < sources.SINC_SERIES_CUTOFF
+    fast, _ = whole_grid.jsa(*pumps(), guide, grid)
+    slow = naive_waveguide_jsa(*pumps(), guide, grid, points_per_fwhm=2, halfwidth_fwhms=1.0)
+    assert oracle_error(fast, slow) <= 1e-11
 
 
 @pytest.mark.parametrize(
